@@ -4,15 +4,43 @@
 //! "Sensing, perception, and planning are serialized; they are all on the
 //! critical path of the end-to-end latency. We pipeline the three modules
 //! to improve the throughput, which is dictated by the slowest stage."
+//!
+//! The stages run on [`FramePipeline`] over a 3-lane [`WorkerPool`]:
+//! sensing and perception each own a lane, planning runs on the calling
+//! thread. Depth 1 is the serialized baseline; depth `d > 1` lets up to
+//! `d` frames wait in each inter-stage ring.
 
-use sov_core::executor::{run_pipeline, try_run_pipeline, PipelinePolicy, Stage};
+use sov_runtime::pipeline::{FrameControl, FramePipeline, PipelineRun, StageCtx};
+use sov_runtime::pool::WorkerPool;
 use std::time::Duration;
 
-fn stage(name: &'static str, ms: u64) -> Stage<u64> {
-    Stage::new(name, move |x| {
-        std::thread::sleep(Duration::from_millis(ms));
-        x
-    })
+/// Scaled-down stage times preserving the paper's proportions
+/// (sensing ≈ perception ≫ planning).
+const STAGE_MS: [u64; 3] = [8, 8, 1];
+
+fn run(pool: &WorkerPool, depth: usize, frames: u64) -> PipelineRun {
+    let work = |stage: usize| std::thread::sleep(Duration::from_millis(STAGE_MS[stage]));
+    FramePipeline::new(depth).run(
+        Some(pool),
+        frames,
+        |k, _ctx: StageCtx<'_, u64>| {
+            work(0);
+            k
+        },
+        |_, s, _ctx: StageCtx<'_, u64>| {
+            work(1);
+            *s
+        },
+        |_, p, _: Option<&u64>| {
+            work(2);
+            *p
+        },
+        |_, _| FrameControl::Continue,
+    )
+}
+
+fn ms(d: Duration) -> f64 {
+    d.as_secs_f64() * 1e3
 }
 
 fn main() {
@@ -20,73 +48,35 @@ fn main() {
         "Fig. 5 / Sec. IV",
         "Task-level parallelism in the software pipeline",
     );
-    // Scaled-down stage times preserving the paper's proportions
-    // (sensing ≈ perception ≫ planning): 8 / 8 / 1 ms.
     let frames = 60;
     println!("running {frames} frames through sensing(8 ms) → perception(8 ms) → planning(1 ms)\n");
 
-    sov_bench::section("pipelined (one thread per stage, Fig. 5 dataflow)");
-    let report = run_pipeline(
-        vec![
-            stage("sensing", 8),
-            stage("perception", 8),
-            stage("planning", 1),
-        ],
-        (0..frames).collect(),
-    );
-    println!(
-        "  throughput {:.0} Hz (bounded by the slowest 8 ms stage → ≤125 Hz)",
-        report.throughput_hz()
-    );
-    println!(
-        "  per-frame latency {:.1} ms (sum of stages: 17 ms)",
-        report.mean_latency().as_secs_f64() * 1000.0
-    );
-
-    sov_bench::section("serialized (single stage doing all three)");
-    let serial = run_pipeline(
-        vec![Stage::new("all", |x: u64| {
-            std::thread::sleep(Duration::from_millis(17));
-            x
-        })],
-        (0..frames).collect(),
-    );
-    println!("  throughput {:.0} Hz", serial.throughput_hz());
-    println!(
-        "  per-frame latency {:.1} ms",
-        serial.mean_latency().as_secs_f64() * 1000.0
-    );
-
-    println!(
-        "\npipelining improves throughput {:.1}× without reducing latency —\n\
-         which is why the 10 Hz throughput requirement is 'relatively easier\n\
-         to meet than latency' (Sec. III-A).",
-        report.throughput_hz() / serial.throughput_hz()
-    );
-    sov_bench::section("channel-capacity sweep (PipelinePolicy::channel_capacity)");
-    println!("  a deeper inter-stage buffer decouples stage jitter but adds");
-    println!("  queueing latency; capacity 1 is lock-step, large is free-running\n");
-    for capacity in [1usize, 2, 4, 8, 16] {
-        let policy = PipelinePolicy {
-            channel_capacity: capacity,
-            ..PipelinePolicy::default()
-        };
-        let report = try_run_pipeline(
-            vec![
-                stage("sensing", 8),
-                stage("perception", 8),
-                stage("planning", 1),
-            ],
-            (0..frames).collect(),
-            &policy,
-        )
-        .expect("no injected failures");
+    sov_bench::section("depth sweep (FramePipeline, 3 lanes; depth 1 = serialized)");
+    println!("  deeper rings absorb stage jitter; with balanced stages they stay");
+    println!("  nearly empty, so per-frame latency holds at the stage sum\n");
+    let pool = WorkerPool::new(3);
+    let runs: Vec<(usize, PipelineRun)> = [1usize, 2, 4, 8, 16]
+        .into_iter()
+        .map(|depth| (depth, run(&pool, depth, frames)))
+        .collect();
+    for (depth, r) in &runs {
         println!(
-            "  capacity {capacity:>2}: throughput {:>4.0} Hz, per-frame latency {:>5.1} ms",
-            report.throughput_hz(),
-            report.mean_latency().as_secs_f64() * 1000.0
+            "  depth {depth:>2}: throughput {:>4.0} Hz, per-frame latency p50 {:>5.1} ms / p99 {:>5.1} ms",
+            r.throughput_fps(),
+            ms(r.latency_percentile(0.5)),
+            ms(r.latency_percentile(0.99)),
         );
     }
+
+    let (serial, piped) = (&runs[0].1, &runs[1].1);
+    println!(
+        "\npipelining (depth 2) improves throughput {} — bounded by the slowest\n\
+         8 ms stage (≤125 Hz) — while per-frame latency stays {:.1} ms, the\n\
+         17 ms sum of stages. That is why the 10 Hz throughput requirement is\n\
+         'relatively easier to meet than latency' (Sec. III-A).",
+        sov_bench::times(piped.throughput_fps() / serial.throughput_fps()),
+        ms(piped.latency_percentile(0.5)),
+    );
 
     println!(
         "\nintra-perception parallelism (Fig. 5): localization ∥ scene\n\

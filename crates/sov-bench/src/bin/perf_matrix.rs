@@ -9,7 +9,9 @@
 //! templates, contiguous-row windows, frame-arena reuse). The `aos` cells
 //! use the SipHash voxel grid and AoS transform; the `soa` cells the
 //! sort-based [`PointCloudSoA`] kernels. The matrix is therefore a
-//! before/after ablation of the PR that introduced `sov_core::pool`.
+//! before/after ablation of the intra-frame layer (`sov_runtime::pool`
+//! and `sov_runtime::arena`), and [`legacy`] is the independent oracle
+//! its checksum gate compares every cell against.
 //!
 //! Determinism is the hard invariant: every cell's kernel outputs are
 //! checksummed (via `to_bits`, so NaN-safe and bitwise-exact) and the
@@ -18,10 +20,7 @@
 //!
 //! Flags: `--json PATH` writes the matrix (the committed baseline is
 //! `BENCH_perf.json`); `--smoke` shrinks the run for CI; `--frames N`
-//! overrides the per-cell frame count; `--seed N` reseeds the workload;
-//! `--unfused-corners` ablates the fused corner pass back to the two-pass
-//! detector in the `arena` cells (bit-identical outputs, so the checksum
-//! gate is unaffected).
+//! overrides the per-cell frame count; `--seed N` reseeds the workload.
 
 use sov_lidar::cloud::PointCloud;
 use sov_lidar::kdtree::KdTree;
@@ -30,9 +29,7 @@ use sov_lidar::segmentation::{euclidean_clusters_with, SegmentationConfig};
 use sov_lidar::soa::{aos_ground_traffic_bytes, soa_ground_traffic_bytes, PointCloudSoA};
 use sov_math::SovRng;
 use sov_perception::depth::DenseStereoMatcher;
-use sov_perception::features::{
-    fast_corners_two_pass_with, fast_corners_with, track_features_with, Corner,
-};
+use sov_perception::features::{fast_corners_with, track_features_with, Corner};
 use sov_perception::image::{convolve3x3_with, pyramid_with, GrayImage, SMOOTH_3X3};
 use sov_runtime::arena::FrameArena;
 use sov_runtime::pool::WorkerPool;
@@ -416,15 +413,10 @@ struct Cell {
     /// Whole-frame latency samples (ms).
     frame_ms: Vec<f64>,
     checksum: u64,
-    /// `--unfused-corners` ablation: the `arena` cells run the two-pass
-    /// (detect, then suppress) corner detector instead of the fused
-    /// default. Outputs are bit-identical either way, so the checksum
-    /// gate still holds; only the corner-stage latency moves.
-    two_pass_corners: bool,
 }
 
 impl Cell {
-    fn new(config: Config, two_pass_corners: bool) -> Self {
+    fn new(config: Config) -> Self {
         Self {
             config,
             pool: (config.workers > 0).then(|| WorkerPool::new(config.workers)),
@@ -438,7 +430,6 @@ impl Cell {
             stage_ms: vec![Vec::new(); STAGES.len()],
             frame_ms: Vec::new(),
             checksum: 0,
-            two_pass_corners,
         }
     }
 
@@ -467,12 +458,10 @@ impl Cell {
         lap(1, t0);
 
         let t0 = Instant::now();
-        let corners = if !cfg.arena {
-            legacy::fast_corners(&smooth, 0.05)
-        } else if self.two_pass_corners {
-            fast_corners_two_pass_with(&smooth, 0.05, pool, arena_opt)
-        } else {
+        let corners = if cfg.arena {
             fast_corners_with(&smooth, 0.05, pool, arena_opt)
+        } else {
+            legacy::fast_corners(&smooth, 0.05)
         };
         lap(2, t0);
 
@@ -581,7 +570,6 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let seed = sov_bench::seed_from_args();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let two_pass_corners = args.iter().any(|a| a == "--unfused-corners");
     let frames = args
         .iter()
         .position(|a| a == "--frames")
@@ -612,14 +600,11 @@ fn main() {
     for workers in [0usize, 2, 4, 8] {
         for soa in [false, true] {
             for arena in [false, true] {
-                cells.push(Cell::new(
-                    Config {
-                        workers,
-                        soa,
-                        arena,
-                    },
-                    two_pass_corners,
-                ));
+                cells.push(Cell::new(Config {
+                    workers,
+                    soa,
+                    arena,
+                }));
             }
         }
     }

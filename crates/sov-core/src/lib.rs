@@ -5,15 +5,6 @@
 //!
 //! * [`config`] — vehicle configurations: the deployed camera-based pod,
 //!   the hypothetical LiDAR variant, and the rejected mobile-SoC variant.
-//! * [`executor`] — a real threaded pipeline executor (bounded channels,
-//!   panic isolation, per-stage deadlines) demonstrating the task-level
-//!   parallelism of Sec. IV: throughput is set by the slowest stage while
-//!   latency is the sum of stages.
-//! * [`pool`] / [`arena`] — the complementary *intra*-frame layer
-//!   (re-exported from `sov-runtime`): a deterministic worker pool whose
-//!   chunked kernels are bit-identical to serial at any lane count, and
-//!   per-frame reusable buffers that keep the steady-state control tick
-//!   free of heap allocation.
 //! * [`health`] — stale-data watchdogs and the degradation state machine
 //!   (`Nominal → DegradedLocalization → ReactiveOnly → SafeStop`) that
 //!   keeps the vehicle safe when sensors or compute fail.
@@ -49,21 +40,16 @@
 
 #![deny(missing_docs)]
 
-pub mod arena;
 pub mod characterize;
 pub mod config;
-pub mod executor;
 pub mod health;
 pub mod pipeline;
-pub mod pool;
 pub mod safety;
 pub mod sov;
 pub mod tail;
 
-pub use arena::FrameArena;
 pub use config::VehicleConfig;
 pub use health::{DegradationMode, HealthConfig, HealthMonitor};
-pub use pool::{PerfContext, WorkerPool};
 pub use safety::{SafetyChecker, SafetyConfig, SafetyReport};
 pub use sov::{DriveOutcome, DriveReport, Sov};
 pub use tail::{DeadlineMonitor, TailReport};

@@ -26,10 +26,8 @@
 use crate::config::VehicleConfig;
 use crate::health::{DegradationMode, HealthConfig, HealthMonitor};
 use crate::pipeline::LatencyPipeline;
-use crate::pool::PerfContext;
 use crate::safety::{SafetyChecker, SafetyConfig, SafetyReport};
 use crate::tail::{DeadlineMonitor, TailReport};
-use crate::FrameArena;
 use sov_fault::{FaultKind, FaultPlan};
 use sov_math::stats::Summary;
 use sov_math::{angle, SovRng};
@@ -39,9 +37,10 @@ use sov_perception::fusion::{FixOutcome, FusionConfig, GpsVioFusion};
 use sov_perception::vio::{VioConfig, VioFilter};
 use sov_planning::mpc::MpcPlanner;
 use sov_planning::{Planner, PlanningInput, PlanningObstacle};
+use sov_runtime::arena::FrameArena;
 use sov_runtime::ledger::{FrameSample, LatencyLedger, StageSample};
 use sov_runtime::queue::{ring, RingReceiver, RingSender};
-use sov_runtime::LaneOccupancy;
+use sov_runtime::{LaneOccupancy, PerfContext};
 use sov_sensors::camera::{Camera, CameraFrame, Intrinsics, StereoRig};
 use sov_sensors::gps::{GnssQuality, GpsConfig, GpsReceiver};
 use sov_sensors::radar::RadarArray;
@@ -245,7 +244,7 @@ impl Sov {
     }
 
     /// The active performance context (e.g. to inspect
-    /// [`ArenaStats`](crate::arena::ArenaStats) after a drive).
+    /// [`ArenaStats`](sov_runtime::arena::ArenaStats) after a drive).
     #[must_use]
     pub fn perf(&self) -> &PerfContext {
         &self.perf

@@ -12,9 +12,9 @@
 //! scheduling fact.
 
 use sov_core::config::VehicleConfig;
-use sov_core::pool::PerfContext;
 use sov_core::sov::{DriveReport, Sov};
 use sov_fault::{FaultKind, FaultPlan};
+use sov_runtime::PerfContext;
 use sov_sim::time::SimTime;
 use sov_testkit::prelude::*;
 use sov_world::scenario::Scenario;

@@ -12,10 +12,10 @@
 //! `prop_assert_eq!` here really is a bit-identity check.
 
 use sov_core::config::VehicleConfig;
-use sov_core::pool::PerfContext;
 use sov_core::sov::Sov;
 use sov_fault::{FaultKind, FaultPlan};
 use sov_runtime::ledger::TailPolicy;
+use sov_runtime::PerfContext;
 use sov_sim::time::SimTime;
 use sov_testkit::prelude::*;
 use sov_world::scenario::Scenario;

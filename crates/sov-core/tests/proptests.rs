@@ -86,7 +86,7 @@ proptest! {
     }
 }
 
-// Determinism invariant of the intra-frame layer (`sov_core::pool`):
+// Determinism invariant of the intra-frame layer (`sov_runtime::pool`):
 // chunked pool primitives are bit-identical to serial for any worker
 // count, and a pool-enabled drive produces an unchanged DriveReport.
 proptest! {
@@ -107,7 +107,7 @@ proptest! {
             0.0f64,
             |acc, s| acc + s,
         );
-        let pool = sov_core::pool::WorkerPool::new(lanes);
+        let pool = sov_runtime::pool::WorkerPool::new(lanes);
         let pooled = map_reduce_chunks(
             Some(&pool),
             &values,
@@ -132,7 +132,7 @@ proptest! {
                 *v = v.sin() * (start + i) as f64;
             }
         });
-        let pool = sov_core::pool::WorkerPool::new(lanes);
+        let pool = sov_runtime::pool::WorkerPool::new(lanes);
         let mut pooled = values;
         for_chunks(Some(&pool), &mut pooled, chunk, |start, c| {
             for (i, v) in c.iter_mut().enumerate() {
@@ -152,7 +152,7 @@ proptest! {
 
     #[test]
     fn pooled_drive_reports_are_unchanged(seed in 0u64..1_000, lanes in 2usize..9) {
-        use sov_core::pool::PerfContext;
+        use sov_runtime::PerfContext;
         use sov_core::sov::Sov;
         use sov_world::scenario::Scenario;
         let scenario = Scenario::fishers_indiana(seed);

@@ -28,6 +28,7 @@
 //! | `unsafe-comment` | every `unsafe` is preceded by a `// SAFETY:` comment stating its invariant |
 //! | `stdout` | no `println!`/`print!`/`eprintln!`/`dbg!` in library code (benches, bins, and tests excepted) |
 //! | `env-read` | no `std::env` reads in library code (config must flow through explicit parameters) |
+//! | `stale-allow` | every allowlisted path exists under the scanned root, so a deleted file cannot leave its exemption behind |
 //!
 //! # Suppressions
 //!
@@ -66,10 +67,6 @@ const WALL_CLOCK_ALLOW: &[(&str, &str)] = &[
         "drive-loop stage stamps feeding the ledger",
     ),
     (
-        "crates/sov-core/src/executor.rs",
-        "executor deadline/retry telemetry",
-    ),
-    (
         "crates/sov-testkit/src/bench.rs",
         "the micro-bench harness times closures by definition",
     ),
@@ -105,6 +102,8 @@ pub enum Rule {
     EnvRead,
     /// Malformed suppression (missing justification or unknown rule).
     Suppression,
+    /// An allowlist entry naming a file that does not exist.
+    StaleAllow,
 }
 
 impl Rule {
@@ -119,6 +118,7 @@ impl Rule {
             Rule::Stdout => "stdout",
             Rule::EnvRead => "env-read",
             Rule::Suppression => "suppression",
+            Rule::StaleAllow => "stale-allow",
         }
     }
 
@@ -140,7 +140,7 @@ impl Rule {
 pub struct Diagnostic {
     /// Workspace-relative path.
     pub file: String,
-    /// 1-based line number.
+    /// 1-based line number; 0 for a finding about the whole file.
     pub line: usize,
     /// Violated rule.
     pub rule: Rule,
@@ -876,7 +876,8 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 
 /// Lints the whole workspace rooted at `root`: every `.rs` file under
 /// `crates/*/{src,tests,benches,examples}`, the facade `src/`, root
-/// `tests/`, and `examples/`.
+/// `tests/`, and `examples/`; and every allowlisted path must exist
+/// under `root`.
 ///
 /// # Errors
 ///
@@ -908,6 +909,23 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
             .replace('\\', "/");
         let source = std::fs::read_to_string(&path)?;
         out.extend(lint_source(&rel, &source));
+    }
+    let allowlists = WALL_CLOCK_ALLOW
+        .iter()
+        .map(|&(f, _)| (f, "WALL_CLOCK_ALLOW"))
+        .chain(UNSAFE_ALLOW.iter().map(|&(f, _)| (f, "UNSAFE_ALLOW")))
+        .chain(STDOUT_ALLOW.iter().map(|&f| (f, "STDOUT_ALLOW")));
+    for (file, list) in allowlists {
+        if !root.join(file).is_file() {
+            out.push(Diagnostic {
+                file: file.to_string(),
+                line: 0,
+                rule: Rule::StaleAllow,
+                message: format!(
+                    "sov-lint's {list} names this file, which does not exist; drop the entry"
+                ),
+            });
+        }
     }
     out.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     Ok(out)

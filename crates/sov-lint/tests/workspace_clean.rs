@@ -2,6 +2,7 @@
 //! must still detect violations (guards against the gate rotting into a
 //! vacuous pass).
 
+use sov_lint::Rule;
 use std::path::PathBuf;
 
 fn workspace_root() -> PathBuf {
@@ -48,4 +49,38 @@ fn scanner_rejects_injected_violations() {
         let diags = sov_lint::lint_source("crates/sov-core/src/injected.rs", src);
         assert!(!diags.is_empty(), "scanner must reject a {what} violation");
     }
+}
+
+#[test]
+fn stale_allowlist_entries_are_reported() {
+    // A tree holding one allowlisted file: every other allowlist entry is
+    // stale there and must be reported, the present one must not.
+    let root = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("stale-allowlist");
+    let _ = std::fs::remove_dir_all(&root);
+    let src = root.join("crates/sov-runtime/src");
+    std::fs::create_dir_all(&src).expect("temp tree");
+    std::fs::write(src.join("ledger.rs"), "pub fn f() {}\n").expect("temp file");
+    let diags = sov_lint::lint_workspace(&root).expect("temp tree walks");
+    let stale: Vec<&str> = diags
+        .iter()
+        .filter(|d| d.rule == Rule::StaleAllow)
+        .map(|d| d.file.as_str())
+        .collect();
+    assert!(
+        stale.contains(&"crates/sov-runtime/src/pool.rs"),
+        "{stale:?}"
+    );
+    assert!(
+        stale.contains(&"crates/sov-testkit/src/bench.rs"),
+        "{stale:?}"
+    );
+    assert!(
+        !stale.contains(&"crates/sov-runtime/src/ledger.rs"),
+        "{stale:?}"
+    );
+    assert_eq!(
+        diags.len(),
+        stale.len(),
+        "only stale entries to report: {diags:?}"
+    );
 }

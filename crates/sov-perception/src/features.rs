@@ -15,9 +15,9 @@
 
 use crate::image::{GrayImage, NccTemplate};
 use sov_runtime::arena::FrameArena;
-use sov_runtime::pool::{for_chunks, map_indexed, map_reduce_chunks, WorkerPool};
+use sov_runtime::pool::{map_indexed, map_reduce_chunks, WorkerPool};
 
-/// Rows per parallel chunk for the score and NMS passes. Fixed so chunk
+/// Rows per tile of the fused score + NMS pass. Fixed so tile
 /// boundaries — and therefore merge order — never depend on lane count.
 const ROWS_PER_CHUNK: usize = 8;
 
@@ -66,17 +66,32 @@ pub fn fast_corners(image: &GrayImage, threshold: f32) -> Vec<Corner> {
     fast_corners_with(image, threshold, None, None)
 }
 
-/// [`fast_corners`] with optional intra-frame parallelism — the default
-/// front-end corner pass.
+/// [`fast_corners`] with optional intra-frame parallelism: a fused
+/// score + NMS tile pass.
 ///
-/// Routes to the fused score+NMS tile pass ([`fast_corners_fused_with`]),
-/// which is bit-identical to the two-pass detector
-/// ([`fast_corners_two_pass_with`]) for every worker count but halves the
-/// score-plane memory traffic. The `arena` parameter is accepted for
-/// call-site compatibility and ignored: the fused pass keeps its score
-/// tiles cache-resident and needs no persistent full-frame plane. The
-/// two-pass detector stays available for the perf_matrix
-/// `--unfused-corners` ablation.
+/// A two-pass detector writes a `w × h` score plane to memory and then
+/// re-reads it (plus the two neighbor rows) for suppression — the
+/// write-then-re-read traffic pattern the paper's Fig. 4 analysis calls
+/// out. This pass works per tile of [`ROWS_PER_CHUNK`] rows: it scores
+/// the tile's rows *plus a one-row halo* above and below into a
+/// tile-local buffer that stays cache-resident, then suppresses inside the
+/// tile immediately — halving the per-frame score-plane traffic at the
+/// cost of re-scoring two halo rows per tile (a 25% compute overhead on
+/// the cheap, mostly-early-out [`fast_score`] test). The `arena`
+/// parameter is accepted for call-site compatibility and ignored: the
+/// tiles need no persistent full-frame plane.
+///
+/// # Bit-identity at tile seams
+///
+/// `fast_score` is a pure function, so a halo row recomputed by a tile
+/// holds exactly the values its owning tile computed; rows outside the
+/// scored band (`y < 3`, `y ≥ h − 3`) and the unscored column `x = w − 3`
+/// stay zero in the tile buffer exactly as in a full plane. The
+/// suppression comparison, the row-major emission order, the
+/// ascending-tile merge, and the final stable sort are all those of the
+/// two-pass detector, so the output is bit-identical to it for any worker
+/// count — proptested against a serial score-plane + NMS oracle with
+/// corners placed on tile seams.
 #[must_use]
 pub fn fast_corners_with(
     image: &GrayImage,
@@ -85,150 +100,6 @@ pub fn fast_corners_with(
     arena: Option<&FrameArena>,
 ) -> Vec<Corner> {
     let _ = arena; // fused tiles need no persistent score plane
-    fast_corners_fused_with(image, threshold, pool)
-}
-
-/// Two-pass FAST-9: full-frame score plane, then NMS over it. Kept as the
-/// ablation baseline the fused pass is checked against.
-#[must_use]
-pub fn fast_corners_two_pass(image: &GrayImage, threshold: f32) -> Vec<Corner> {
-    fast_corners_two_pass_with(image, threshold, None, None)
-}
-
-/// [`fast_corners_two_pass`] with optional intra-frame parallelism and
-/// buffer reuse.
-///
-/// The score pass and the NMS pass are both chunked by rows of
-/// [`ROWS_PER_CHUNK`]; chunks write disjoint rows and per-chunk corner
-/// lists merge in ascending row order, so the result is bit-identical to
-/// the serial detector for any worker count. The score plane is borrowed
-/// from `arena` when one is supplied, making repeat calls allocation-free
-/// apart from the returned corner list.
-#[must_use]
-pub fn fast_corners_two_pass_with(
-    image: &GrayImage,
-    threshold: f32,
-    pool: Option<&WorkerPool>,
-    arena: Option<&FrameArena>,
-) -> Vec<Corner> {
-    let (w, h) = (image.width(), image.height());
-    if w < 7 || h < 7 {
-        return Vec::new();
-    }
-    let mut scores: Vec<f32> = match arena {
-        Some(arena) => arena.take(),
-        None => Vec::new(),
-    };
-    scores.clear();
-    scores.resize(w * h, 0.0);
-    for_chunks(pool, &mut scores, ROWS_PER_CHUNK * w, |start, rows| {
-        let y0 = start / w;
-        for (row_offset, row) in rows.chunks_mut(w).enumerate() {
-            let y = y0 + row_offset;
-            if y < 3 || y >= h - 3 {
-                continue;
-            }
-            for (x, slot) in row.iter_mut().enumerate().take(w - 3).skip(3) {
-                if let Some(score) = fast_score(image, x as isize, y as isize, threshold) {
-                    *slot = score;
-                }
-            }
-        }
-    });
-    // Non-maximum suppression over 3×3 neighborhoods. Each chunk scans its
-    // own rows (reading neighbor rows immutably) and emits corners in
-    // row-major order; the ascending-chunk merge preserves that order, so
-    // the stable sort below sees the exact serial sequence.
-    let score_buf = scores;
-    let scores = score_buf.as_slice();
-    let corners = map_reduce_chunks(
-        pool,
-        scores,
-        ROWS_PER_CHUNK * w,
-        |start, rows| {
-            let y0 = start / w;
-            let mut found = Vec::new();
-            for y in y0..y0 + rows.len() / w {
-                if y < 3 || y >= h - 3 {
-                    continue;
-                }
-                for x in 3..w - 3 {
-                    let s = scores[y * w + x];
-                    if s <= 0.0 {
-                        continue;
-                    }
-                    let mut is_max = true;
-                    'nms: for dy in -1isize..=1 {
-                        for dx in -1isize..=1 {
-                            if dx == 0 && dy == 0 {
-                                continue;
-                            }
-                            let nx = (x as isize + dx) as usize;
-                            let ny = (y as isize + dy) as usize;
-                            let neighbor = scores[ny * w + nx];
-                            if neighbor > s || (neighbor == s && (dy < 0 || (dy == 0 && dx < 0))) {
-                                is_max = false;
-                                break 'nms;
-                            }
-                        }
-                    }
-                    if is_max {
-                        found.push(Corner { x, y, score: s });
-                    }
-                }
-            }
-            found
-        },
-        Vec::new(),
-        |mut acc: Vec<Corner>, mut part| {
-            acc.append(&mut part);
-            acc
-        },
-    );
-    if let Some(arena) = arena {
-        arena.recycle(score_buf);
-    }
-    let mut corners = corners;
-    corners.sort_by(|a, b| b.score.partial_cmp(&a.score).expect("finite scores"));
-    corners
-}
-
-/// Fused score + NMS tile pass: [`fast_corners_two_pass`] without the
-/// full-frame score plane (this is what [`fast_corners`] runs today).
-#[must_use]
-pub fn fast_corners_fused(image: &GrayImage, threshold: f32) -> Vec<Corner> {
-    fast_corners_fused_with(image, threshold, None)
-}
-
-/// [`fast_corners_fused`] with optional intra-frame parallelism.
-///
-/// The two-pass detector writes a `w × h` score plane to memory and then
-/// re-reads it (plus the two neighbor rows) for suppression — the
-/// write-then-re-read traffic pattern the paper's Fig. 4 analysis calls
-/// out. The fused pass works per tile of [`ROWS_PER_CHUNK`] rows: it
-/// scores the tile's rows *plus a one-row halo* above and below into a
-/// tile-local buffer that stays cache-resident, then suppresses inside the
-/// tile immediately — halving the per-frame score-plane traffic at the
-/// cost of re-scoring two halo rows per tile (a 25% compute overhead on
-/// the cheap, mostly-early-out [`fast_score`] test).
-///
-/// # Bit-identity at tile seams
-///
-/// `fast_score` is a pure function, so a halo row recomputed by a tile
-/// holds exactly the values its owning tile computed; rows outside the
-/// scored band (`y < 3`, `y ≥ h − 3`) and the unscored column `x = w − 3`
-/// stay zero in the tile buffer exactly as in the full plane. The
-/// suppression comparison, the row-major emission order, the
-/// ascending-tile merge, and the final stable sort are all identical to
-/// the two-pass detector, so the output is bit-identical for any worker
-/// count — proptested against [`fast_corners_two_pass_with`] with corners
-/// placed on tile seams.
-#[must_use]
-pub fn fast_corners_fused_with(
-    image: &GrayImage,
-    threshold: f32,
-    pool: Option<&WorkerPool>,
-) -> Vec<Corner> {
     let (w, h) = (image.width(), image.height());
     if w < 7 || h < 7 {
         return Vec::new();
@@ -436,6 +307,9 @@ pub fn track_features_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::image::render_scene;
+    use sov_math::SovRng;
+    use sov_testkit::prelude::*;
 
     /// Draws a bright axis-aligned rectangle on a dark background — crisp
     /// corners for FAST.
@@ -547,59 +421,103 @@ mod tests {
         assert!(fast_corners(&img, 0.1).is_empty());
     }
 
+    /// Test oracle for the fused tile pass: the serial two-pass detector
+    /// — score the whole frame into one plane, then suppress over it.
+    fn score_plane_oracle(image: &GrayImage, threshold: f32) -> Vec<Corner> {
+        let (w, h) = (image.width(), image.height());
+        if w < 7 || h < 7 {
+            return Vec::new();
+        }
+        let mut scores = vec![0.0f32; w * h];
+        for y in 3..h - 3 {
+            for x in 3..w - 3 {
+                if let Some(score) = fast_score(image, x as isize, y as isize, threshold) {
+                    scores[y * w + x] = score;
+                }
+            }
+        }
+        let mut corners = Vec::new();
+        for y in 3..h - 3 {
+            for x in 3..w - 3 {
+                let s = scores[y * w + x];
+                // A neighbor suppresses on a higher score, or on a tie
+                // when it comes earlier in row-major order.
+                let beaten = (-1isize..=1)
+                    .flat_map(|dy| (-1isize..=1).map(move |dx| (dx, dy)))
+                    .filter(|&d| d != (0, 0))
+                    .any(|(dx, dy)| {
+                        let n = scores[(y as isize + dy) as usize * w + (x as isize + dx) as usize];
+                        n > s || (n == s && (dy < 0 || (dy == 0 && dx < 0)))
+                    });
+                if s > 0.0 && !beaten {
+                    corners.push(Corner { x, y, score: s });
+                }
+            }
+        }
+        corners.sort_by(|a, b| b.score.partial_cmp(&a.score).expect("finite scores"));
+        corners
+    }
+
     #[test]
-    fn pooled_detection_is_bit_identical() {
+    fn pooled_detection_matches_the_oracle_for_any_lane_count() {
         let img = rectangle_image(97, 65, 20, 18, 70, 50);
-        let serial = fast_corners(&img, 0.2);
+        let reference = score_plane_oracle(&img, 0.2);
+        assert!(!reference.is_empty());
+        assert_eq!(fast_corners(&img, 0.2), reference);
         let arena = FrameArena::new();
         for lanes in [1, 2, 4, 8] {
             let pool = WorkerPool::new(lanes);
             let pooled = fast_corners_with(&img, 0.2, Some(&pool), Some(&arena));
-            assert_eq!(pooled, serial, "lanes = {lanes}");
-            let two_pass = fast_corners_two_pass_with(&img, 0.2, Some(&pool), Some(&arena));
-            assert_eq!(two_pass, serial, "two-pass, lanes = {lanes}");
+            assert_eq!(pooled, reference, "lanes = {lanes}");
         }
-        // The two-pass detector's arena-backed score plane is reused, not
-        // reallocated (the fused default needs no score plane at all).
-        let _ = fast_corners_two_pass_with(&img, 0.2, None, Some(&arena));
-        arena.reset_stats();
-        let _ = fast_corners_two_pass_with(&img, 0.2, None, Some(&arena));
-        assert_eq!(arena.stats().allocations, 0, "score plane must be reused");
     }
 
     #[test]
-    fn fused_detection_matches_two_pass_on_seam_straddling_corners() {
+    fn detection_matches_the_oracle_on_seam_straddling_corners() {
         // Rectangle corners on rows 7/8 and 15/16 — both sides of the
         // 8-row tile seams, so suppression reads across chunk boundaries.
         for (y0, y1) in [(7, 16), (8, 15), (5, 24), (20, 40)] {
             let img = rectangle_image(64, 64, 12, y0, 50, y1);
-            let reference = fast_corners_two_pass(&img, 0.2);
+            let reference = score_plane_oracle(&img, 0.2);
             assert!(!reference.is_empty(), "rows {y0}..{y1}");
-            assert_eq!(fast_corners_fused(&img, 0.2), reference, "rows {y0}..{y1}");
+            assert_eq!(fast_corners(&img, 0.2), reference, "rows {y0}..{y1}");
         }
     }
 
-    #[test]
-    fn fused_detection_is_bit_identical_for_any_lane_count() {
-        let img = rectangle_image(97, 65, 20, 18, 70, 50);
-        let reference = fast_corners_two_pass_with(&img, 0.2, None, None);
-        assert_eq!(fast_corners_fused(&img, 0.2), reference);
-        assert_eq!(
-            fast_corners(&img, 0.2),
-            reference,
-            "the default pass is the fused one and matches two-pass"
-        );
-        for lanes in [1, 2, 4, 8] {
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn fused_nms_bit_identical_across_tile_seams(
+            seed in 0u64..5_000,
+            w in 24usize..72,
+            h in 24usize..64,
+            lanes in 1usize..9,
+        ) {
+            let mut rng = SovRng::seed_from_u64(seed);
+            // Random blobs plus blobs centered *on* the 8-row tile seams,
+            // so corners (and their 3×3 suppression neighborhoods)
+            // straddle chunk boundaries — the case the halo rows must get
+            // bit-exact.
+            let mut blobs: Vec<(f64, f64, f64, f64)> = (0..5)
+                .map(|_| (
+                    rng.uniform(4.0, w as f64 - 4.0),
+                    rng.uniform(4.0, h as f64 - 4.0),
+                    rng.uniform(1.0, 3.0),
+                    rng.uniform(0.4, 0.9),
+                ))
+                .collect();
+            let mut seam = 8usize;
+            while seam + 4 < h {
+                blobs.push((rng.uniform(4.0, w as f64 - 4.0), seam as f64, 2.0, 0.9));
+                seam += 8;
+            }
+            let img = render_scene(w, h, &blobs, 0.05, &mut rng);
+            let reference = score_plane_oracle(&img, 0.08);
+            prop_assert_eq!(&fast_corners(&img, 0.08), &reference);
             let pool = WorkerPool::new(lanes);
-            let fused = fast_corners_fused_with(&img, 0.2, Some(&pool));
-            assert_eq!(fused, reference, "lanes = {lanes}");
+            prop_assert_eq!(&fast_corners_with(&img, 0.08, Some(&pool), None), &reference);
         }
-    }
-
-    #[test]
-    fn fused_detection_handles_tiny_and_flat_images() {
-        assert!(fast_corners_fused(&GrayImage::new(5, 5), 0.1).is_empty());
-        assert!(fast_corners_fused(&GrayImage::new(64, 64), 0.1).is_empty());
     }
 
     #[test]

@@ -167,43 +167,6 @@ proptest! {
     }
 
     #[test]
-    fn fused_nms_bit_identical_across_tile_seams(
-        seed in 0u64..5_000,
-        w in 24usize..72,
-        h in 24usize..64,
-        lanes in 1usize..9,
-    ) {
-        use sov_perception::features::{
-            fast_corners, fast_corners_fused, fast_corners_fused_with, fast_corners_two_pass_with,
-        };
-        let mut rng = SovRng::seed_from_u64(seed);
-        // Random blobs plus blobs centered *on* the 8-row tile seams, so
-        // corners (and their 3×3 suppression neighborhoods) straddle
-        // chunk boundaries — the case the halo rows must get bit-exact.
-        let mut blobs: Vec<(f64, f64, f64, f64)> = (0..5)
-            .map(|_| (
-                rng.uniform(4.0, w as f64 - 4.0),
-                rng.uniform(4.0, h as f64 - 4.0),
-                rng.uniform(1.0, 3.0),
-                rng.uniform(0.4, 0.9),
-            ))
-            .collect();
-        let mut seam = 8usize;
-        while seam + 4 < h {
-            blobs.push((rng.uniform(4.0, w as f64 - 4.0), seam as f64, 2.0, 0.9));
-            seam += 8;
-        }
-        let img = render_scene(w, h, &blobs, 0.05, &mut rng);
-        // The two-pass detector is the ablation reference the fused
-        // (now default) pass must match bit for bit.
-        let reference = fast_corners_two_pass_with(&img, 0.08, None, None);
-        prop_assert_eq!(&fast_corners_fused(&img, 0.08), &reference);
-        prop_assert_eq!(&fast_corners(&img, 0.08), &reference);
-        let pool = sov_runtime::pool::WorkerPool::new(lanes);
-        prop_assert_eq!(&fast_corners_fused_with(&img, 0.08, Some(&pool)), &reference);
-    }
-
-    #[test]
     fn pooled_corner_detection_and_tracking_bit_identical(
         seed in 0u64..5_000,
         lanes in 1usize..9,

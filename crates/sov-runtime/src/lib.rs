@@ -1,12 +1,16 @@
-//! Deterministic intra-frame data parallelism (Sec. VI, Fig. 4).
+//! The workspace's one runtime: deterministic data parallelism inside a
+//! frame (Sec. VI, Fig. 4) and task-level pipelining across frames
+//! (Sec. IV, Fig. 5).
 //!
 //! The paper's LiDAR case study shows that the real bottleneck of the
 //! perception stack is *within* a frame: irregular point-cloud kernels and
 //! image processing dominated by memory traffic and redundant data
-//! movement. Task-level pipelining (Sec. IV, `sov_core::executor`) overlaps
-//! whole stages; this crate supplies the complementary layer — data
-//! parallelism *inside* each stage — plus the allocation discipline that
-//! makes a steady-state control tick free of heap traffic:
+//! movement. [`pipeline::FramePipeline`] overlaps whole stages across
+//! frames (sensing → perception → planning on pool lanes joined by the
+//! bounded SPSC rings of [`queue`]); the rest of this crate supplies the
+//! complementary layer — data parallelism *inside* each stage — plus the
+//! allocation discipline that makes a steady-state control tick free of
+//! heap traffic:
 //!
 //! * [`pool`] — a std-only persistent [`pool::WorkerPool`] whose
 //!   `parallel_for` / `parallel_map_reduce` use **fixed chunking and an
@@ -19,9 +23,9 @@
 //!   recycle them at frame end with their capacity intact.
 //!
 //! The perception (`sov-perception`) and LiDAR (`sov-lidar`) hot kernels
-//! accept an optional pool and arena; `sov-core` re-exports this crate as
-//! `sov_core::pool` / `sov_core::arena` and threads a [`PerfContext`]
-//! through `Sov::drive_with_plan`.
+//! accept an optional pool and arena; `sov-core` threads a
+//! [`PerfContext`] through `Sov::drive_with_plan`, and [`ledger`]
+//! attributes each frame's latency to compute, queue and stall time.
 
 #![deny(missing_docs)]
 

@@ -192,6 +192,12 @@ impl FramePipeline {
     ///
     /// Requires `pool` with ≥ 3 lanes and depth > 1 to actually overlap;
     /// otherwise every frame runs on the bit-identical serial fallback.
+    ///
+    /// # Panics
+    ///
+    /// A panic in any stage reaches the caller: on the pipelined path the
+    /// failing stage's rings close, the other lanes drain and exit, and
+    /// the panic is re-raised here, leaving the pool usable.
     pub fn run<S, P, O, FS, FP, FL, FC>(
         &self,
         pool: Option<&WorkerPool>,
@@ -315,6 +321,11 @@ impl FramePipeline {
                 // stage. Frames commit in FIFO (= serial) order, and each
                 // plan sees the committed output of the previous frame.
                 || {
+                    // Own the ring endpoints, so a `plan`/`commit` panic
+                    // drops them while unwinding: the closed rings release
+                    // the lanes, and `run_lanes` re-raises the panic
+                    // instead of waiting on a lane blocked in `send`.
+                    let (p_rx, p_ret_tx) = (p_rx, p_ret_tx);
                     let mut committed: u64 = 0;
                     let mut drained = false;
                     let mut prev: Option<O> = None;
@@ -410,7 +421,9 @@ impl FramePipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::AtomicU64;
+    use std::sync::{mpsc, Arc};
 
     /// Deterministic workload exercising all four stages: `sense` fills a
     /// buffer from `k`, `perceive` folds it, `plan` mixes in the previous
@@ -627,6 +640,108 @@ mod tests {
                     "busy cannot wildly exceed wall for a single lane"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn throughput_set_by_slowest_stage_latency_by_sum() {
+        // Fig. 5 with 8 / 8 / 1 ms stages: depth 1 (serialized) commits a
+        // frame every 17 ms; pipelined, one per slowest stage (8 ms),
+        // while each frame still spends the 17 ms sum in flight. Sleeps
+        // need no CPU, so the bounds hold on 1- and 2-core hosts.
+        let pool = WorkerPool::new(3);
+        let nap = |ms| std::thread::sleep(Duration::from_millis(ms));
+        let run = |depth| {
+            FramePipeline::new(depth).run(
+                Some(&pool),
+                30,
+                |k, _ctx: StageCtx<'_, u64>| {
+                    nap(8);
+                    k
+                },
+                |_, s, _ctx: StageCtx<'_, u64>| {
+                    nap(8);
+                    *s
+                },
+                |_, p, _: Option<&u64>| {
+                    nap(1);
+                    *p
+                },
+                |_, _| FrameControl::Continue,
+            )
+        };
+        let serial = run(1);
+        for depth in [2, 4] {
+            let piped = run(depth);
+            assert_eq!(piped.pipelined_frames, 30, "depth {depth} overlaps");
+            let speedup = piped.throughput_fps() / serial.throughput_fps();
+            assert!(
+                speedup >= 1.5,
+                "depth {depth}: pipelining must lift throughput toward the \
+                 slowest stage, got {speedup:.2}× over depth 1"
+            );
+            for (label, r) in [("depth 1", &serial), ("pipelined", &piped)] {
+                let p50_ms = r.latency_percentile(0.5).as_secs_f64() * 1e3;
+                assert!(
+                    (17.0..25.0).contains(&p50_ms),
+                    "{label} (depth {depth}): latency is the 17 ms stage sum, \
+                     got p50 {p50_ms:.1} ms"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_stage_panic_reaches_the_caller_and_the_pool_survives() {
+        let pool = Arc::new(WorkerPool::new(3));
+        let (reference, _) = checksums(None, 1, 40);
+        for (stage, name) in ["sense", "perceive", "plan", "commit"]
+            .into_iter()
+            .enumerate()
+        {
+            let lanes = Arc::clone(&pool);
+            let (tx, rx) = mpsc::channel();
+            // On a worker thread, so a deadlock fails the test instead of
+            // hanging it.
+            let runner = std::thread::spawn(move || {
+                let boom = |at: usize, k: u64| {
+                    assert!(at != stage || k != 5, "injected {name} fault");
+                };
+                let result = catch_unwind(AssertUnwindSafe(|| {
+                    FramePipeline::new(2).run(
+                        Some(&lanes),
+                        200,
+                        |k, _ctx: StageCtx<'_, u64>| {
+                            boom(0, k);
+                            k
+                        },
+                        |k, s, _ctx: StageCtx<'_, u64>| {
+                            boom(1, k);
+                            *s
+                        },
+                        |k, p, _: Option<&u64>| {
+                            boom(2, k);
+                            *p
+                        },
+                        |k, _| {
+                            boom(3, k);
+                            FrameControl::Continue
+                        },
+                    )
+                }));
+                let _ = tx.send(result.is_err());
+            });
+            let panicked = rx
+                .recv_timeout(Duration::from_secs(10))
+                .unwrap_or_else(|_| panic!("a {name} panic deadlocked the pipeline"));
+            runner.join().expect("the runner catches the stage panic");
+            assert!(panicked, "a {name} panic must reach the caller");
+            let (out, run) = checksums(Some(&pool), 2, 40);
+            assert_eq!(out, reference, "pool reusable after a {name} panic");
+            assert_eq!(
+                run.pipelined_frames, 40,
+                "lanes still run after a {name} panic"
+            );
         }
     }
 

@@ -6,9 +6,11 @@
 //! ```
 
 use sov::core::config::VehicleConfig;
-use sov::core::executor::{run_pipeline, Stage};
 use sov::core::sov::Sov;
+use sov::runtime::pipeline::{FrameControl, FramePipeline, StageCtx};
+use sov::runtime::pool::WorkerPool;
 use sov::world::scenario::Scenario;
+use std::time::Duration;
 
 fn main() {
     println!("SoV quickstart — PerceptIn pod on the Fishers, Indiana loop\n");
@@ -55,27 +57,33 @@ fn main() {
         report.final_localization_error_m
     );
 
-    // Demonstrate the TLP executor: pipelined stages sustain the 10 Hz
+    // Task-level parallelism: pipelined stages sustain the 10 Hz
     // throughput even though the serial latency exceeds the period.
-    println!("\ntask-level parallelism demo (threaded pipeline):");
-    let stages = vec![
-        Stage::new("sensing", |x: u64| {
-            std::thread::sleep(std::time::Duration::from_millis(8));
-            x
-        }),
-        Stage::new("perception", |x: u64| {
-            std::thread::sleep(std::time::Duration::from_millis(8));
-            x
-        }),
-        Stage::new("planning", |x: u64| {
-            std::thread::sleep(std::time::Duration::from_millis(1));
-            x
-        }),
-    ];
-    let pipe = run_pipeline(stages, (0..40).collect());
-    println!(
-        "  40 frames through 8+8+1 ms stages: throughput {:.0} Hz, per-frame latency {:.0} ms",
-        pipe.throughput_hz(),
-        pipe.mean_latency().as_secs_f64() * 1000.0
-    );
+    println!("\ntask-level parallelism demo (FramePipeline, 40 frames through 8+8+1 ms stages):");
+    let pool = WorkerPool::new(3);
+    let work = |ms| std::thread::sleep(Duration::from_millis(ms));
+    for (depth, mode) in [(1, "serialized"), (2, "pipelined")] {
+        let run = FramePipeline::new(depth).run(
+            Some(&pool),
+            40,
+            |k, _ctx: StageCtx<'_, u64>| {
+                work(8);
+                k
+            },
+            |_, s, _ctx: StageCtx<'_, u64>| {
+                work(8);
+                *s
+            },
+            |_, p, _: Option<&u64>| {
+                work(1);
+                *p
+            },
+            |_, _| FrameControl::Continue,
+        );
+        println!(
+            "  depth {depth} ({mode}): throughput {:.0} Hz, per-frame latency {:.1} ms",
+            run.throughput_fps(),
+            run.latency_percentile(0.5).as_secs_f64() * 1000.0
+        );
+    }
 }

@@ -31,8 +31,9 @@ cargo build --offline --workspace --release
 echo "== tier-1: test =="
 cargo test --offline --workspace -q
 
-echo "== fused score+NMS bit-identity proptest (tile-seam corners) =="
-cargo test --offline -q -p sov-perception --test proptests fused_nms
+echo "== fused score+NMS bit-identity proptest (tile-seam corners vs =="
+echo "== the serial score-plane oracle)                             =="
+cargo test --offline -q -p sov-perception --lib fused_nms
 
 echo "== fault-window overlap-merge proptests =="
 cargo test --offline -q -p sov-fault --test proptests
@@ -73,9 +74,21 @@ if [ "$DEEP" -eq 1 ]; then
   fi
 fi
 
-echo "== bench bins build + perf_matrix smoke =="
+echo "== bench bins build + perf_matrix smoke (every cell's checksum must =="
+echo "== equal the committed BENCH_perf.json digest; the per-frame fold   =="
+echo "== does not depend on the frame count)                             =="
 cargo build --offline --release -p sov-bench --bins
-./target/release/perf_matrix --smoke
+perf_json="$(mktemp)"
+trap 'rm -f "$perf_json"' EXIT
+./target/release/perf_matrix --smoke --json "$perf_json"
+checksums() { grep -o '"checksum": "[0-9a-f]*"' "$1" | sort -u; }
+committed="$(checksums BENCH_perf.json)"
+fresh="$(checksums "$perf_json")"
+if [ "$(printf '%s\n' "$committed" | wc -l)" -ne 1 ] || [ "$fresh" != "$committed" ]; then
+  echo "perf digest gate: fresh ${fresh:-<none>} != committed ${committed:-<none>} (BENCH_perf.json)"
+  exit 1
+fi
+echo "perf digest gate: every cell prints the committed ${committed#*: }"
 
 echo "== pipeline_matrix smoke (front-end-lane cells + tail gate; exits =="
 echo "== non-zero on checksum mismatch, an idle lane in the d3 w4 drive =="
