@@ -12,21 +12,22 @@
 //!    `pipeline_speedup` averaged over the same replayed frames: the
 //!    initiation-interval bound the replay cells should approach.
 //! 3. **Drive cells** — real [`Sov::drive_with_plan`] runs at several
-//!    pipeline depths × worker counts. Workers ≥ 4 place the visual
-//!    front-end on its own sensing lane (`fe` column); 3 workers keep it
-//!    on the sequencer. These prove the headline invariant end to end (the
+//!    pipeline depths × worker counts. The `fe` column reads
+//!    [`PerfContext::stage_placement`]: workers ≥ 4 put the visual
+//!    front-end node on its own lane, 3 workers keep it inline on the
+//!    sequencer. These prove the headline invariant end to end (the
 //!    [`DriveReport`]s must be **byte-identical** to serial) and report
 //!    wall-clock as-is; on a host with fewer cores than lanes the overlap
 //!    cannot pay, which the JSON records as a caveat instead of hiding.
 //!
 //! Pipelining trades per-frame latency *up* for throughput, so every cell
 //! reports p50 **and** p99 (COLA's tail-latency caveat), never throughput
-//! alone. Every concurrent cell additionally reports per-lane
-//! **occupancy** (busy ÷ wall for the sensing, perception, and planning
-//! lanes) so an idle stage is visible instead of averaged away — and, via
-//! the latency ledger, the **attribution split** of every frame's span
-//! into compute, ring-queue wait, and drain/barrier stall, each at
-//! p50/p99/p99.9/max.
+//! alone. Every concurrent cell additionally reports per-stage
+//! **occupancy** (compute ÷ wall for sensing, perception, and planning;
+//! drive cells sum the compute of the ledger's stage samples) so an idle
+//! stage is visible instead of averaged away — and, via the latency
+//! ledger, the **attribution split** of every frame's span into compute,
+//! ring-queue wait, and drain/barrier stall, each at p50/p99/p99.9/max.
 //!
 //! A fourth view, the **tail cells**, runs the depth-3 drive under a
 //! sustained compute overrun with the deadline-driven tail policy off,
@@ -46,10 +47,10 @@ use sov_core::sov::{DriveReport, Sov};
 use sov_core::tail::TailReport;
 use sov_fault::{FaultKind, FaultPlan};
 use sov_math::stats::Summary;
-use sov_runtime::ledger::TailPolicy;
-use sov_runtime::pipeline::{FrameControl, FramePipeline, PipelineRun, StageCtx};
+use sov_runtime::ledger::{TailPolicy, SENSING};
+use sov_runtime::pipeline::{FrameControl, FramePipeline, PipelineRun, Placement, StageCtx};
 use sov_runtime::pool::WorkerPool;
-use sov_runtime::{LaneOccupancy, PerfContext};
+use sov_runtime::PerfContext;
 use sov_sim::time::SimTime;
 use sov_world::scenario::Scenario;
 use std::time::{Duration, Instant};
@@ -404,8 +405,8 @@ fn main() {
     }
     let mut drive_rows: Vec<DriveRow> = Vec::new();
     let mut serial_report: Option<DriveReport> = None;
-    // Workers ≥ 4 host the visual front-end on a dedicated sensing lane;
-    // exactly 3 keep it on the sequencer (detector + planner lanes only).
+    // Workers ≥ 4 put the visual front-end node on its own lane; exactly
+    // 3 keep it inline on the sequencer (detector + planner lanes only).
     for (depth, workers) in [
         (1usize, 0usize),
         (2, 3),
@@ -415,23 +416,21 @@ fn main() {
         (4, 3),
         (4, 4),
     ] {
-        let frontend_lane = depth > 1 && workers >= 4;
         let mut sov = Sov::new(VehicleConfig::perceptin_pod(), seed);
         if workers > 0 {
             sov.set_perf(PerfContext::with_pipeline_workers(depth, workers));
         }
+        let frontend_lane = sov.perf().stage_placement()[SENSING] == Placement::Lane;
         let t0 = Instant::now();
         let report = sov
             .drive_with_plan(&scenario, drive_frames, &plan)
             .expect("drive completes");
         let wall = t0.elapsed();
-        let occupancy = (depth > 1 && workers >= 3).then(|| {
-            let occ = &sov.perf().occupancy;
-            [
-                occ.fraction(LaneOccupancy::SENSING),
-                occ.fraction(LaneOccupancy::PERCEPTION),
-                occ.fraction(LaneOccupancy::PLANNING),
-            ]
+        let occupancy = (sov.perf().effective_pipeline_depth() > 1).then(|| {
+            let compute = &report.tail.stage_compute_ms;
+            compute
+                .each_ref()
+                .map(|s| s.samples().iter().sum::<f64>() / ms(wall))
         });
         let matches_serial = serial_report.as_ref().is_none_or(|s| *s == report);
         if !matches_serial {

@@ -38,9 +38,9 @@ use sov_perception::vio::{VioConfig, VioFilter};
 use sov_planning::mpc::MpcPlanner;
 use sov_planning::{Planner, PlanningInput, PlanningObstacle};
 use sov_runtime::arena::FrameArena;
-use sov_runtime::ledger::{FrameSample, LatencyLedger, StageSample};
-use sov_runtime::queue::{ring, RingReceiver, RingSender};
-use sov_runtime::{LaneOccupancy, PerfContext};
+use sov_runtime::ledger::{FrameSample, LatencyLedger, PERCEPTION, PLANNING, SENSING};
+use sov_runtime::pipeline::{LaneBody, StageNode};
+use sov_runtime::PerfContext;
 use sov_sensors::camera::{Camera, CameraFrame, Intrinsics, StereoRig};
 use sov_sensors::gps::{GnssQuality, GpsConfig, GpsReceiver};
 use sov_sensors::radar::RadarArray;
@@ -50,12 +50,10 @@ use sov_sim::time::{SimDuration, SimTime};
 use sov_vehicle::battery::Battery;
 use sov_vehicle::dynamics::{ControlCommand, VehicleState};
 use sov_vehicle::ecu::Ecu;
-use sov_world::obstacle::{ObstacleClass, ObstacleId};
-use sov_world::scenario::{Scenario, World};
+use sov_world::obstacle::ObstacleClass;
+use sov_world::scenario::Scenario;
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::Arc;
-use std::time::Instant;
 
 /// How a drive ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -195,9 +193,20 @@ impl DriveReport {
 /// The complete on-vehicle system.
 #[derive(Debug)]
 pub struct Sov {
-    config: VehicleConfig,
     planner: MpcPlanner,
     detector: Detector,
+    /// Intra-frame parallelism + per-frame buffer reuse. Defaults to
+    /// serial; never affects any computed value (determinism invariant).
+    perf: PerfContext,
+    rig: Rig,
+}
+
+/// What the drive's sequencer owns: the configuration, the sensors, the
+/// computing-latency model and the main RNG (the detector and planner
+/// live in their stage nodes during a drive).
+#[derive(Debug)]
+struct Rig {
+    config: VehicleConfig,
     camera: Camera,
     radars: RadarArray,
     sonars: SonarArray,
@@ -205,9 +214,6 @@ pub struct Sov {
     latency: LatencyPipeline,
     synchronizer: Synchronizer,
     rng: SovRng,
-    /// Intra-frame parallelism + per-frame buffer reuse. Defaults to
-    /// serial; never affects any computed value (determinism invariant).
-    perf: PerfContext,
 }
 
 impl Sov {
@@ -217,23 +223,25 @@ impl Sov {
         Self {
             planner: MpcPlanner::new(config.mpc),
             detector: Detector::new(DetectorProfile::matched(), seed),
-            camera: Camera::new(Intrinsics::hd1080(), 0.0, 1.2, 60.0, 0.5)
-                .expect("valid camera constants"),
-            radars: RadarArray::perceptin_six(config.radar, seed),
-            sonars: SonarArray::perceptin_eight(config.sonar, seed),
-            gps: GpsReceiver::new(GpsConfig::default(), seed),
-            latency: LatencyPipeline::new(&config, seed),
-            synchronizer: Synchronizer::new(config.sync_strategy, config.sync_config.clone()),
-            rng: SovRng::seed_from_u64(seed ^ 0x534F56),
             perf: PerfContext::default(),
-            config,
+            rig: Rig {
+                camera: Camera::new(Intrinsics::hd1080(), 0.0, 1.2, 60.0, 0.5)
+                    .expect("valid camera constants"),
+                radars: RadarArray::perceptin_six(config.radar, seed),
+                sonars: SonarArray::perceptin_eight(config.sonar, seed),
+                gps: GpsReceiver::new(GpsConfig::default(), seed),
+                latency: LatencyPipeline::new(&config, seed),
+                synchronizer: Synchronizer::new(config.sync_strategy, config.sync_config.clone()),
+                rng: SovRng::seed_from_u64(seed ^ 0x534F56),
+                config,
+            },
         }
     }
 
     /// The active configuration.
     #[must_use]
     pub fn config(&self) -> &VehicleConfig {
-        &self.config
+        &self.rig.config
     }
 
     /// Installs an intra-frame performance context (worker pool + frame
@@ -277,17 +285,17 @@ impl Sov {
     /// # Errors
     ///
     /// Returns [`SovError::NoFrames`] if `max_frames == 0`.
-    /// When the installed [`PerfContext`] carries `pipeline_depth > 1` and
-    /// a pool with at least three lanes, the drive runs on the inter-frame
-    /// pipeline: the stereo/VIO visual front-end executes on a sensing
-    /// lane (with four or more pool lanes; on the sequencer otherwise),
-    /// detection on a perception lane, and MPC planning on a planning lane
-    /// — the full three-deep overlap of Fig. 5, with up to `depth` frames
-    /// in flight per stage. The sequencer on the calling thread commits
-    /// every result in frame order, so the resulting [`DriveReport`] is
-    /// **byte-identical** to the serial drive for every depth and worker
-    /// count (see [`PipedLanes`] and [`FrontEndRoute`] for the
-    /// commit-equivalence argument); a degraded tick drains the pipeline
+    ///
+    /// # Pipelining
+    ///
+    /// The visual front-end, detection and MPC planning run as stage nodes
+    /// placed by [`PerfContext::stage_placement`] — all inline on a serial
+    /// context, up to all three on pool lanes (Fig. 5's three-deep
+    /// overlap, `depth` frames in flight per stage). The sequencer on the
+    /// calling thread is one program for every placement and commits in
+    /// frame order, so the [`DriveReport`] is **byte-identical** to the
+    /// serial drive for every depth and worker count (the arguments are
+    /// on the sequencer's `Stages` type); a degraded tick drains the nodes
     /// and serializes until the vehicle recovers to nominal.
     pub fn drive_with_plan(
         &mut self,
@@ -299,276 +307,83 @@ impl Sov {
             return Err(SovError::NoFrames);
         }
         let Sov {
-            config,
             planner,
             detector,
-            camera,
-            radars,
-            sonars,
-            gps,
-            latency,
-            synchronizer,
-            rng,
             perf,
+            rig,
         } = self;
         let perf: &PerfContext = perf;
-        // The single pipelining gate: piped mode without a pool (or with
-        // fewer than three lanes) normalizes to the serial schedule
-        // instead of paying ring overhead with no overlap.
-        let depth = perf.effective_pipeline_depth();
-        let piped = depth > 1;
         // The visual front-end draws its seed first — before any camera
         // event — on every schedule, preserving the main RNG sequence.
-        let frontend = FrontEnd::new(
-            rng.next_u64(),
-            camera.intrinsics().fx,
+        let mut frontend = FrontEnd::new(
+            rig.rng.next_u64(),
+            rig.camera.intrinsics().fx,
             StereoRig::perceptin_default().baseline_m(),
         );
-        let env = DriveEnv {
-            config,
-            camera,
-            radars,
-            sonars,
-            gps,
-            latency,
-            synchronizer,
-            rng,
-            perf,
-            scenario,
-            max_frames,
-            faults,
-        };
-        if !piped {
-            return Ok(drive_loop(
-                env,
-                StageLanes::Inline {
-                    detector,
-                    planner,
-                    frontend,
-                },
-            ));
-        }
-        let pool = Arc::clone(perf.pool.as_ref().expect("piped implies a pool"));
-        // A fourth lane hosts the visual front-end; with exactly three
-        // lanes it stays on the sequencer (still bit-identical — the
-        // route only moves *where* `FrontEnd::process` runs).
-        let frontend_lane = pool.lanes() >= 4;
         let world = &scenario.world;
-        let occupancy = Arc::clone(&perf.occupancy);
-        occupancy.reset();
-        // Job rings are bounded by the pipeline depth — a full ring is the
-        // back-pressure that keeps a stage at most `depth` frames ahead.
-        // Done rings hold `2·depth + 4`: with the sensing lane chained in
-        // front of the perception lane, up to `depth` frames can sit in
-        // each job ring plus one in each lane's hands (`2·depth + 2`
-        // total), so this capacity guarantees a lane can always deposit a
-        // result without blocking — which is what lets the sequencer
-        // block-drain any single done ring without deadlocking the chain.
-        let (det_tx, det_job_rx) = ring::<DetJob>(depth);
-        let (det_done_tx, det_rx) = ring::<DetDone>(2 * depth + 4);
-        let (plan_tx, plan_job_rx) = ring::<PlanJob>(depth);
-        let (plan_done_tx, plan_rx) = ring::<PlanDone>(2 * depth + 4);
-        let mut stages: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
-        let fe_route = if frontend_lane {
-            let (fe_tx, fe_job_rx) = ring::<FeJob>(depth);
-            let (fe_done_tx, fe_rx) = ring::<FeDone>(2 * depth + 4);
-            let occ = Arc::clone(&occupancy);
-            let mut frontend = frontend;
-            // Sensing lane: owns the visual front-end state. Frames arrive
-            // in capture order, the output goes back to the sequencer, and
-            // the frame itself is forwarded (not copied) to the perception
-            // lane — the FIFO chain preserves the serial frame order end
-            // to end.
-            stages.push(Box::new(move || {
-                while let Some(FeJob {
-                    frame,
-                    out,
-                    req,
-                    k,
-                    t0,
-                }) = fe_job_rx.recv()
-                {
-                    let t1 = Instant::now();
-                    let product = frontend.process(&frame, req.as_ref());
-                    let t2 = Instant::now();
-                    occ.record(LaneOccupancy::SENSING, t2 - t1);
-                    if fe_done_tx
-                        .send(FeDone {
-                            out: product,
-                            k,
-                            t0,
-                            t1,
-                            t2,
-                        })
-                        .is_err()
-                    {
-                        break;
-                    }
-                    // The perception stage's queue clock starts when
-                    // sensing hands the frame off.
-                    if det_tx
-                        .send(DetJob {
-                            frame,
-                            out,
-                            k,
-                            t0: t2,
-                        })
-                        .is_err()
-                    {
-                        break;
-                    }
-                }
-            }));
-            FrontEndRoute::Lane {
-                fe_tx,
-                fe_rx,
-                inflight: 0,
-            }
-        } else {
-            FrontEndRoute::Sequencer { frontend, det_tx }
-        };
-        // Perception lane: owns the detector. Jobs arrive in camera-frame
-        // order, so the detector's internal RNG consumes draws in exactly
-        // the serial sequence.
-        let occ = Arc::clone(&occupancy);
-        stages.push(Box::new(move || {
-            while let Some(DetJob {
-                frame,
-                mut out,
-                k,
-                t0,
-            }) = det_job_rx.recv()
-            {
-                let t1 = Instant::now();
-                detector.detect_into(&frame, |id| true_class_of(world, id), &mut out);
-                let t2 = Instant::now();
-                occ.record(LaneOccupancy::PERCEPTION, t2 - t1);
-                if det_done_tx.send(DetDone { out, k, t0, t1, t2 }).is_err() {
-                    break;
-                }
-            }
-        }));
-        // Planning lane: owns the MPC planner, consumes planning inputs in
-        // control-tick order.
-        let occ = Arc::clone(&occupancy);
-        stages.push(Box::new(move || {
-            while let Some(PlanJob { input }) = plan_job_rx.recv() {
-                let t1 = Instant::now();
+        let depth = perf.effective_pipeline_depth();
+        let place = perf.stage_placement();
+        let led = &perf.ledger;
+        // Each node owns one stage's state (front-end tracker and RNG,
+        // detector RNG, planner warm start) and receives its jobs in frame
+        // order on every placement, so that state runs through exactly the
+        // serial sequence.
+        let (frontend, fe_lane) = StageNode::new(
+            SENSING,
+            place[SENSING],
+            depth,
+            led,
+            move |(frame, req, buf): FrontEndJob| {
+                let out = frontend.process(&frame, req.as_ref());
+                (frame, buf, out)
+            },
+        );
+        let (detector, det_lane) = StageNode::new(
+            PERCEPTION,
+            place[PERCEPTION],
+            depth,
+            led,
+            move |(frame, mut out): (CameraFrame, Vec<Detection>)| {
+                let class_of = |id| {
+                    world
+                        .obstacles
+                        .iter()
+                        .find(|o| o.id == id)
+                        .map_or(ObstacleClass::StaticObject, |o| o.class)
+                };
+                detector.detect_into(&frame, class_of, &mut out);
+                out
+            },
+        );
+        let (planner, plan_lane) = StageNode::new(
+            PLANNING,
+            place[PLANNING],
+            depth,
+            led,
+            move |input: PlanningInput| {
                 let plan = planner.plan(&input);
-                let t2 = Instant::now();
-                occ.record(LaneOccupancy::PLANNING, t2 - t1);
-                let PlanningInput { obstacles, .. } = input;
-                if plan_done_tx
-                    .send(PlanDone {
-                        command: plan.command,
-                        obstacles,
-                        t1,
-                        t2,
-                    })
-                    .is_err()
-                {
-                    break;
-                }
-            }
-        }));
-        let started = Instant::now();
-        // Fusion + sequencing stay on the calling thread.
-        let report = pool.run_lanes(stages, move || {
-            drive_loop(
-                env,
-                StageLanes::Piped(PipedLanes {
-                    frontend: fe_route,
-                    det_rx,
-                    det_inflight: 0,
-                    det_free: Vec::new(),
-                    plan_tx,
-                    plan_rx,
-                    pending: VecDeque::new(),
-                    sync_mode: false,
-                }),
-            )
-        });
-        occupancy.set_wall(started.elapsed());
-        Ok(report)
+                (plan.command, input.obstacles)
+            },
+        );
+        let nodes = (frontend, detector, planner);
+        let run = move || drive_loop(rig, perf, scenario, max_frames, faults, nodes);
+        let lanes: Vec<LaneBody<'_>> = [fe_lane, det_lane, plan_lane]
+            .into_iter()
+            .flatten()
+            .collect();
+        Ok(match perf.pool() {
+            Some(pool) => pool.run_lanes(lanes, run),
+            None => run(),
+        })
     }
 }
 
-/// Ground-truth class lookup shared by the inline and piped detection
-/// paths — it must be the *same* function on both for bit-identity.
-fn true_class_of(world: &World, id: ObstacleId) -> ObstacleClass {
-    world
-        .obstacles
-        .iter()
-        .find(|o| o.id == id)
-        .map_or(ObstacleClass::StaticObject, |o| o.class)
-}
-
-/// A camera frame headed to the sensing lane (visual front-end), carrying
-/// the detection buffer it will forward to the perception lane and the
-/// sequencer-computed ego-motion request.
-struct FeJob {
-    frame: CameraFrame,
-    out: Vec<Detection>,
-    req: Option<EgoMotionRequest>,
-    /// Camera-frame sequence number, for ledger attribution.
-    k: u64,
-    /// Dispatch (ring queue-in) stamp.
-    t0: Instant,
-}
-
-/// The front-end product coming back from the sensing lane. The stamps
-/// (`Copy`, like the output) let the sequencer attribute the frame's
-/// sensing span without any shared state.
-struct FeDone {
-    out: FrontEndOutput,
-    k: u64,
-    /// Dispatch stamp, forwarded from the job.
-    t0: Instant,
-    /// Compute start on the sensing lane.
-    t1: Instant,
-    /// Compute end on the sensing lane.
-    t2: Instant,
-}
-
-/// A camera frame headed to the perception lane plus a reusable output
-/// buffer for its detections (buffers circulate: main free-list → lane →
-/// back, so steady-state camera frames allocate no detection storage).
-struct DetJob {
-    frame: CameraFrame,
-    out: Vec<Detection>,
-    k: u64,
-    /// Queue-in stamp (dispatch time; sensing-lane hand-off time when the
-    /// front-end runs on its own lane).
-    t0: Instant,
-}
-
-/// Finished detections coming back from the perception lane.
-struct DetDone {
-    out: Vec<Detection>,
-    k: u64,
-    t0: Instant,
-    /// Compute start on the perception lane.
-    t1: Instant,
-    /// Compute end on the perception lane.
-    t2: Instant,
-}
-
-/// A planning input headed to the planning lane (the dispatch stamp rides
-/// in the sequencer-side [`PlanMeta`]).
-struct PlanJob {
-    input: PlanningInput,
-}
-
-/// A finished plan: the command plus the obstacle buffer, returned for
-/// recycling into the frame arena.
-struct PlanDone {
-    command: ControlCommand,
-    obstacles: Vec<PlanningObstacle>,
-    /// Compute start on the planning lane.
-    t1: Instant,
-    /// Compute end on the planning lane.
-    t2: Instant,
-}
+/// A camera frame, its ego-motion request, and the detection buffer that
+/// rides with the frame to the detector.
+type FrontEndJob = (CameraFrame, Option<EgoMotionRequest>, Vec<Detection>);
+type FrontEndNode<'a> = StageNode<'a, FrontEndJob, (CameraFrame, Vec<Detection>, FrontEndOutput)>;
+type DetectorNode<'a> = StageNode<'a, (CameraFrame, Vec<Detection>), Vec<Detection>>;
+type PlannerNode<'a> = StageNode<'a, PlanningInput, (ControlCommand, Vec<PlanningObstacle>)>;
 
 /// Sequencing metadata the main thread records when it dispatches a plan.
 struct PlanMeta {
@@ -580,22 +395,21 @@ struct PlanMeta {
     /// `ecu.overrides_engaged_count()` at dispatch; any increase by commit
     /// time means the serial schedule would have flushed the command.
     engage_count: u64,
-    /// Control-frame index, for ledger attribution.
-    frame: u64,
-    /// Dispatch (queue-in) stamp.
-    t0: Instant,
     /// Whether this tick planned under a degraded mode (ledger tag).
     degraded: bool,
 }
 
-/// The pipelined stage endpoints owned by the event loop (sequencer side).
+/// The sequencer: the three stage nodes plus the state their results
+/// commit into. One program for every placement
+/// [`PerfContext::stage_placement`] picks; with every node inline each
+/// stage runs at its dispatch, which is the serial schedule.
 ///
 /// # Why deferred commits are exactly serial-equivalent
 ///
 /// The serial schedule calls `ecu.accept_command(cmd, arrival)` at the
-/// control tick. The pipelined sequencer calls it later — when the
-/// planning lane's result comes back — with the *same* `arrival`, subject
-/// to three rules that make the deferral unobservable:
+/// control tick. With the planner on a lane the sequencer calls it later
+/// — when it takes the planner's result — with the *same* `arrival`,
+/// subject to three rules that make the deferral unobservable:
 ///
 /// 1. **Frame order.** Plans commit strictly FIFO, so the ECU's pending
 ///    queue always holds commands in the serial order.
@@ -613,358 +427,110 @@ struct PlanMeta {
 ///    unmatured in the serial ECU queue flushes it, and rule 2 rules out
 ///    the command having matured before any such engagement.
 ///
-/// Eager early commits (absorbing results as they finish) are equally
-/// safe: between the serial accept time and the eager commit time the
-/// command cannot mature (rule 2) and cannot change other promotions (the
-/// ECU promotes FIFO from the front, and all earlier commands are already
+/// Eager early commits (taking results as they finish) are equally safe:
+/// between the serial accept time and the eager commit time the command
+/// cannot mature (rule 2) and cannot change other promotions (the ECU
+/// promotes FIFO from the front, and all earlier commands are already
 /// committed by rule 1), so wall-clock timing never affects the drive.
-struct PipedLanes {
-    /// Where the visual front-end runs (see [`FrontEndRoute`]).
-    frontend: FrontEndRoute,
-    det_rx: RingReceiver<DetDone>,
-    /// Camera jobs dispatched but not yet absorbed.
-    det_inflight: usize,
-    /// Detection buffers awaiting reuse (capacity-only scratch).
-    det_free: Vec<Vec<Detection>>,
-    plan_tx: RingSender<PlanJob>,
-    plan_rx: RingReceiver<PlanDone>,
-    /// Per-in-flight-plan sequencing metadata, in dispatch (frame) order.
-    pending: VecDeque<PlanMeta>,
-    /// Degraded operation: every dispatch commits immediately, i.e. the
-    /// pipeline is serialized without reordering anything.
-    sync_mode: bool,
-}
-
-/// Where the visual front-end stage executes on a piped drive.
 ///
-/// # Why lane placement cannot change the drive
+/// # Why front-end placement cannot change the drive
 ///
 /// `FrontEnd::process` is the only mutator of the front-end's state and
-/// the only consumer of its RNG. Both routes run the *same* calls on the
-/// *same* frames in the *same* (capture) order — the lane route merely
-/// defers the `VioFilter` update from dispatch to absorb time. That
-/// deferral is unobservable because the VIO estimate is only *read* by
-/// two event kinds — GPS fix ingestion and the control tick's fused
-/// position — and both block-drain the sensing lane first
-/// ([`StageLanes::sync_frontend`]); every other event neither reads nor
-/// writes VIO state, so absorbing outputs early or late between those
-/// barriers commutes.
-#[allow(clippy::large_enum_variant)] // one of the two exists per drive
-enum FrontEndRoute {
-    /// Three-lane pools: the front-end runs on the sequencing thread at
-    /// dispatch, exactly like the serial schedule, and detection jobs go
-    /// straight to the perception lane.
-    Sequencer {
-        frontend: FrontEnd,
-        det_tx: RingSender<DetJob>,
-    },
-    /// Four-lane pools: the sensing lane owns the front-end *and* the
-    /// perception lane's job ring — each frame is processed, its output
-    /// sent back, and the frame forwarded onward without a copy.
-    Lane {
-        fe_tx: RingSender<FeJob>,
-        fe_rx: RingReceiver<FeDone>,
-        /// Frames sent to the sensing lane whose outputs have not been
-        /// absorbed yet.
-        inflight: usize,
-    },
+/// the only consumer of its RNG. Every placement runs the *same* calls on
+/// the *same* frames in the *same* (capture) order — a lane placement
+/// merely defers the `VioFilter` update, and the frame's hand-off to the
+/// detector, from dispatch to take time. That deferral is unobservable
+/// because the VIO estimate is only *read* by two event kinds — GPS fix
+/// ingestion and the control tick's fused position — and both block-take
+/// the front-end first; every other event neither reads nor writes VIO
+/// state, so applying outputs early or late between those barriers
+/// commutes. The detector receives the frames in capture order whenever
+/// they are forwarded, and its output is read only at the control tick,
+/// after a blocking take.
+///
+/// Detections are taken only there, in degraded mode and at drains, and
+/// each camera frame's detection buffer leaves `det_free` at dispatch: so
+/// the number of buffers out at any time follows from the event schedule
+/// alone, and a warm arena never allocates one, however the lanes are
+/// timed.
+struct Stages<'a> {
+    frontend: FrontEndNode<'a>,
+    detector: DetectorNode<'a>,
+    planner: PlannerNode<'a>,
+    /// The VIO filter the front-end's products commit into.
+    vio: VioFilter,
+    /// The newest taken frame's detections.
+    detections: Vec<Detection>,
+    /// Detection buffers awaiting reuse (capacity-only scratch).
+    det_free: Vec<Vec<Detection>>,
+    /// Per-in-flight-plan sequencing metadata, in dispatch (frame) order.
+    pending: VecDeque<PlanMeta>,
+    /// Degraded operation: every dispatch is taken before the sequencer
+    /// moves on, i.e. the pipeline is serialized without reordering
+    /// anything.
+    sync_mode: bool,
+    arena: &'a FrameArena,
+    led: &'a LatencyLedger,
 }
 
-/// Applies a front-end product to the VIO filter — the single commit
-/// point shared by every route, serial or piped.
-fn apply_frontend_output(out: &FrontEndOutput, vio: &mut VioFilter) {
-    if let Some(delta) = &out.delta {
-        vio.visual_update(delta);
-    }
-}
-
-/// Stall attributed to a blocking absorb: the time the sequencer spent
-/// blocked (since `t_r`, the pre-recv stamp) *past* the producing lane's
-/// compute end `t2`. A result that was already waiting stalls nothing.
-fn stall_past(t_r: Instant, t2: Instant, t3: Instant) -> u64 {
-    t3.saturating_duration_since(if t_r > t2 { t_r } else { t2 })
-        .as_nanos() as u64
-}
-
-impl PipedLanes {
-    /// Dispatches one camera frame to the front-end and detector stages.
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch_camera(
-        &mut self,
-        frame: CameraFrame,
-        req: Option<EgoMotionRequest>,
-        k: u64,
-        vio: &mut VioFilter,
-        last: &mut Vec<Detection>,
-        arena: &FrameArena,
-        led: &LatencyLedger,
-    ) {
-        let out = self.det_free.pop().unwrap_or_else(|| arena.take());
-        self.det_inflight += 1;
-        match &mut self.frontend {
-            FrontEndRoute::Sequencer { frontend, det_tx } => {
-                let t0 = Instant::now();
-                let product = frontend.process(&frame, req.as_ref());
-                apply_frontend_output(&product, vio);
-                let t2 = Instant::now();
-                // Inline on the sequencer: pure compute, no queue/stall.
-                led.record_stage(StageSample::from_stamps(
-                    LaneOccupancy::SENSING,
-                    k,
-                    t0,
-                    t0,
-                    t2,
-                    t2,
-                    0,
-                ));
-                det_tx
-                    .send(DetJob {
-                        frame,
-                        out,
-                        k,
-                        t0: t2,
-                    })
-                    .unwrap_or_else(|_| unreachable!("perception lane outlives the drive"));
+impl Stages<'_> {
+    /// Takes front-end products in frame order — every outstanding one
+    /// when `block`, else those already done — applies each to the VIO
+    /// filter and forwards its frame to the detector.
+    fn take_frontend(&mut self, block: bool) {
+        while let Some(((frame, buf, product), sample)) = self.frontend.take(block) {
+            if let Some(delta) = &product.delta {
+                self.vio.visual_update(delta);
             }
-            FrontEndRoute::Lane {
-                fe_tx, inflight, ..
-            } => {
-                *inflight += 1;
-                let t0 = Instant::now();
-                fe_tx
-                    .send(FeJob {
-                        frame,
-                        out,
-                        req,
-                        k,
-                        t0,
-                    })
-                    .unwrap_or_else(|_| unreachable!("sensing lane outlives the drive"));
-            }
-        }
-        if self.sync_mode {
-            self.sync_frontend(vio, led);
-            self.sync_detections(last, led);
+            self.detector.dispatch(sample.frame, (frame, buf));
         }
     }
 
-    /// Absorbs every finished front-end output without blocking (FIFO, so
-    /// the VIO filter consumes increments in capture order).
-    fn absorb_ready_frontend(&mut self, vio: &mut VioFilter, led: &LatencyLedger) {
-        if let FrontEndRoute::Lane {
-            fe_rx, inflight, ..
-        } = &mut self.frontend
-        {
-            while *inflight > 0 {
-                match fe_rx.try_recv() {
-                    Some(done) => {
-                        *inflight -= 1;
-                        apply_frontend_output(&done.out, vio);
-                        let t3 = Instant::now();
-                        led.record_stage(StageSample::from_stamps(
-                            LaneOccupancy::SENSING,
-                            done.k,
-                            done.t0,
-                            done.t1,
-                            done.t2,
-                            t3,
-                            0,
-                        ));
-                    }
-                    None => break,
-                }
-            }
+    /// Takes every outstanding detection in frame order, leaving
+    /// `detections` holding the newest dispatched frame's — exactly the
+    /// serial state.
+    fn take_detections(&mut self) {
+        while let Some((out, _)) = self.detector.take(true) {
+            self.det_free
+                .push(std::mem::replace(&mut self.detections, out));
         }
     }
 
-    /// Blocks until every dispatched frame's front-end output has been
-    /// applied to the VIO filter — after this, the filter holds exactly
-    /// the serial visual-update state.
-    fn sync_frontend(&mut self, vio: &mut VioFilter, led: &LatencyLedger) {
-        if let FrontEndRoute::Lane {
-            fe_rx, inflight, ..
-        } = &mut self.frontend
-        {
-            while *inflight > 0 {
-                let t_r = Instant::now();
-                let done = fe_rx.recv().expect("sensing lane alive");
-                *inflight -= 1;
-                apply_frontend_output(&done.out, vio);
-                let t3 = Instant::now();
-                led.record_stage(StageSample::from_stamps(
-                    LaneOccupancy::SENSING,
-                    done.k,
-                    done.t0,
-                    done.t1,
-                    done.t2,
-                    t3,
-                    stall_past(t_r, done.t2, t3),
-                ));
-            }
-        }
-    }
-    /// Commits the next in-flight plan (FIFO) under the equivalence rules.
-    /// `stall` is the barrier time the sequencer spent blocked waiting for
-    /// this result (zero when it was absorbed opportunistically); `t3` is
-    /// the commit stamp.
-    fn commit(
-        &mut self,
-        done: PlanDone,
-        stall: u64,
-        t3: Instant,
-        ecu: &mut Ecu,
-        arena: &FrameArena,
-        led: &LatencyLedger,
-    ) {
-        let meta = self.pending.pop_front().expect("one meta per plan job");
-        arena.recycle(done.obstacles);
+    /// Takes the next plan in frame order — waiting for it when `block`
+    /// — and commits it under the equivalence rules; `false` when there
+    /// was none to take.
+    fn commit_next(&mut self, block: bool, ecu: &mut Ecu) -> bool {
+        let Some(((command, obstacles), sample)) = self.planner.take(block) else {
+            return false;
+        };
+        let meta = self.pending.pop_front().expect("one meta per plan");
+        self.arena.recycle(obstacles);
         if meta.accept && ecu.overrides_engaged_count() == meta.engage_count {
-            ecu.accept_command(done.command, meta.arrival);
+            ecu.accept_command(command, meta.arrival);
         }
-        let sample = StageSample::from_stamps(
-            LaneOccupancy::PLANNING,
-            meta.frame,
-            meta.t0,
-            done.t1,
-            done.t2,
-            t3,
-            stall,
-        );
-        led.record_stage(sample);
         // The planning stage *is* the control path: dispatch → ECU commit
         // is the end-to-end latency Eq. 1 bounds.
-        led.record_frame(FrameSample::from_stage(&sample, meta.degraded));
+        self.led
+            .record_frame(FrameSample::from_stage(&sample, meta.degraded));
+        true
     }
 
-    /// Blocks until every in-flight plan has committed.
-    fn drain_plans(&mut self, ecu: &mut Ecu, arena: &FrameArena, led: &LatencyLedger) {
-        while !self.pending.is_empty() {
-            let t_r = Instant::now();
-            let done = self.plan_rx.recv().expect("planning lane alive");
-            let t3 = Instant::now();
-            let stall = stall_past(t_r, done.t2, t3);
-            self.commit(done, stall, t3, ecu, arena, led);
+    /// Dispatches one camera frame to the front-end (its product is
+    /// forwarded to the detector once taken), then takes what is ready —
+    /// or, when degraded, everything.
+    fn camera_frame(&mut self, frame: CameraFrame, req: Option<EgoMotionRequest>, k: u64) {
+        let buf = self.det_free.pop().unwrap_or_else(|| self.arena.take());
+        self.frontend.dispatch(k, (frame, req, buf));
+        self.take_frontend(self.sync_mode);
+        if self.sync_mode {
+            self.take_detections();
         }
     }
 
-    /// Absorbs every finished detection without blocking (FIFO, so `last`
-    /// ends up holding the newest absorbed frame's detections).
-    fn absorb_ready_detections(&mut self, last: &mut Vec<Detection>, led: &LatencyLedger) {
-        while self.det_inflight > 0 {
-            match self.det_rx.try_recv() {
-                Some(done) => {
-                    self.det_inflight -= 1;
-                    let t3 = Instant::now();
-                    led.record_stage(StageSample::from_stamps(
-                        LaneOccupancy::PERCEPTION,
-                        done.k,
-                        done.t0,
-                        done.t1,
-                        done.t2,
-                        t3,
-                        0,
-                    ));
-                    self.det_free.push(std::mem::replace(last, done.out));
-                }
-                None => break,
-            }
-        }
-    }
-
-    /// Blocks until every dispatched camera frame has been detected; on
-    /// return `last` holds the detections of the newest dispatched frame —
-    /// exactly the serial `last_detections` state.
-    fn sync_detections(&mut self, last: &mut Vec<Detection>, led: &LatencyLedger) {
-        while self.det_inflight > 0 {
-            let t_r = Instant::now();
-            let done = self.det_rx.recv().expect("perception lane alive");
-            self.det_inflight -= 1;
-            let t3 = Instant::now();
-            led.record_stage(StageSample::from_stamps(
-                LaneOccupancy::PERCEPTION,
-                done.k,
-                done.t0,
-                done.t1,
-                done.t2,
-                t3,
-                stall_past(t_r, done.t2, t3),
-            ));
-            self.det_free.push(std::mem::replace(last, done.out));
-        }
-    }
-}
-
-/// The stage components the drive loop routes work through: either owned
-/// inline (serial schedule) or behind the pipeline rings.
-enum StageLanes<'a> {
-    /// Serial: the event loop calls the front-end, detector, and planner
-    /// directly.
-    Inline {
-        detector: &'a mut Detector,
-        planner: &'a mut MpcPlanner,
-        frontend: FrontEnd,
-    },
-    /// Pipelined: the front-end, detection, and planning execute on
-    /// dedicated pool lanes (the front-end stays on the sequencer when the
-    /// pool has only three lanes — see [`FrontEndRoute`]).
-    Piped(PipedLanes),
-}
-
-impl StageLanes<'_> {
-    /// Runs (or dispatches) the per-camera-frame stage work: the visual
-    /// front-end (disparity, tracking, ego-motion → VIO) and detection.
-    #[allow(clippy::too_many_arguments)] // the sequencer's full per-frame state
-    fn camera_frame(
-        &mut self,
-        frame: CameraFrame,
-        req: Option<EgoMotionRequest>,
-        k: u64,
-        vio: &mut VioFilter,
-        last: &mut Vec<Detection>,
-        world: &World,
-        arena: &FrameArena,
-        led: &LatencyLedger,
-    ) {
-        match self {
-            Self::Inline {
-                detector, frontend, ..
-            } => {
-                let t0 = Instant::now();
-                detector.detect_into(&frame, |id| true_class_of(world, id), last);
-                let t_mid = Instant::now();
-                let product = frontend.process(&frame, req.as_ref());
-                apply_frontend_output(&product, vio);
-                let t1 = Instant::now();
-                // Inline stages are pure compute (no rings, no barriers).
-                led.record_stage(StageSample::from_stamps(
-                    LaneOccupancy::PERCEPTION,
-                    k,
-                    t0,
-                    t0,
-                    t_mid,
-                    t_mid,
-                    0,
-                ));
-                led.record_stage(StageSample::from_stamps(
-                    LaneOccupancy::SENSING,
-                    k,
-                    t_mid,
-                    t_mid,
-                    t1,
-                    t1,
-                    0,
-                ));
-            }
-            Self::Piped(p) => p.dispatch_camera(frame, req, k, vio, last, arena, led),
-        }
-    }
-
-    /// Runs (or dispatches) planning for one control tick and offers the
-    /// command to the ECU (immediately when inline; under the sequencing
-    /// rules when piped). `can_lost` marks a lost CAN frame: the plan is
-    /// still computed — the planner's state must advance identically —
-    /// but the command never reaches the ECU.
-    #[allow(clippy::too_many_arguments)] // the sequencer's full per-tick state
+    /// Dispatches planning for one control tick and commits what is
+    /// ready. `can_lost` marks a lost CAN frame: the plan is still
+    /// computed — the planner's state must advance identically — but the
+    /// command never reaches the ECU.
     fn plan(
         &mut self,
         input: PlanningInput,
@@ -973,184 +539,97 @@ impl StageLanes<'_> {
         frame: u64,
         degraded: bool,
         ecu: &mut Ecu,
-        arena: &FrameArena,
-        led: &LatencyLedger,
     ) {
-        match self {
-            Self::Inline { planner, .. } => {
-                let t0 = Instant::now();
-                let plan = planner.plan(&input);
-                let PlanningInput { obstacles, .. } = input;
-                arena.recycle(obstacles);
-                if !can_lost {
-                    ecu.accept_command(plan.command, arrival);
-                }
-                let t3 = Instant::now();
-                let sample =
-                    StageSample::from_stamps(LaneOccupancy::PLANNING, frame, t0, t0, t3, t3, 0);
-                led.record_stage(sample);
-                led.record_frame(FrameSample::from_stage(&sample, degraded));
-            }
-            Self::Piped(p) => {
-                let accept = !can_lost && !ecu.override_engaged();
-                p.pending.push_back(PlanMeta {
-                    arrival,
-                    accept,
-                    engage_count: ecu.overrides_engaged_count(),
-                    frame,
-                    t0: Instant::now(),
-                    degraded,
-                });
-                p.plan_tx
-                    .send(PlanJob { input })
-                    .unwrap_or_else(|_| unreachable!("planning lane outlives the drive"));
-                if p.sync_mode {
-                    p.drain_plans(ecu, arena, led);
-                }
-            }
-        }
+        self.pending.push_back(PlanMeta {
+            arrival,
+            accept: !can_lost && !ecu.override_engaged(),
+            engage_count: ecu.overrides_engaged_count(),
+            degraded,
+        });
+        self.planner.dispatch(frame, input);
+        while self.commit_next(self.sync_mode, ecu) {}
     }
 
-    /// Per-event maintenance: absorbs finished work eagerly and enforces
-    /// the arrival barrier (rule 2 of the [`PipedLanes`] equivalence
-    /// argument) before the event loop advances physics to `t`.
-    fn pump(
-        &mut self,
-        t: SimTime,
-        ecu: &mut Ecu,
-        arena: &FrameArena,
-        last: &mut Vec<Detection>,
-        vio: &mut VioFilter,
-        led: &LatencyLedger,
-    ) {
-        let Self::Piped(p) = self else { return };
-        p.absorb_ready_frontend(vio, led);
-        p.absorb_ready_detections(last, led);
-        while !p.pending.is_empty() {
-            match p.plan_rx.try_recv() {
-                Some(done) => {
-                    let t3 = Instant::now();
-                    p.commit(done, 0, t3, ecu, arena, led);
-                }
-                None => break,
-            }
-        }
+    /// Per-event maintenance: eagerly forwards finished front-end products
+    /// and commits finished plans, then enforces the arrival barrier
+    /// (rule 2) before the event loop advances physics to `t`.
+    fn pump(&mut self, t: SimTime, ecu: &mut Ecu) {
+        self.take_frontend(false);
+        while self.commit_next(false, ecu) {}
         // The barrier gates on the first meta that would actually enter
         // the ECU queue: a CAN-lost (or engage-skipped) frame never
         // reaches the serial ECU, so it must not head-of-line-block the
         // commit of a later accepted command with an earlier arrival.
-        while let Some(i) = p.pending.iter().position(|m| m.accept) {
-            if p.pending[i].arrival > t {
-                break;
-            }
-            for _ in 0..=i {
-                let t_r = Instant::now();
-                let done = p.plan_rx.recv().expect("planning lane alive");
-                let t3 = Instant::now();
-                let stall = stall_past(t_r, done.t2, t3);
-                p.commit(done, stall, t3, ecu, arena, led);
-            }
+        while self
+            .pending
+            .iter()
+            .find(|m| m.accept)
+            .is_some_and(|m| m.arrival <= t)
+        {
+            self.commit_next(true, ecu);
         }
     }
 
     /// Priority draining of the control-critical path: when the deadline
-    /// monitor predicts an Eq. 1 overrun, the sequencer block-drains the
+    /// monitor predicts an Eq. 1 overrun, the sequencer block-takes the
     /// pending plan commits *before* dispatching the next speculative
     /// camera frame, so the planner lane gets the sequencer's attention
     /// (and, on a saturated host, the core) ahead of front-end work.
     /// Output-invariant: commits stay FIFO and only move *earlier* in
     /// wall-clock time, which the eager-commit equivalence rules already
-    /// cover — hence bounded-FIFO determinism is preserved.
-    fn priority_drain(&mut self, ecu: &mut Ecu, arena: &FrameArena, led: &LatencyLedger) {
-        let Self::Piped(p) = self else { return };
-        if p.pending.is_empty() {
-            return;
-        }
-        led.note_priority_drain();
-        p.drain_plans(ecu, arena, led);
-    }
-
-    /// Barrier: after this, `last` holds the serial detection state.
-    fn sync_detections(&mut self, last: &mut Vec<Detection>, led: &LatencyLedger) {
-        if let Self::Piped(p) = self {
-            p.sync_detections(last, led);
+    /// cover. Never fires with an inline planner (nothing is pending).
+    fn priority_drain(&mut self, ecu: &mut Ecu) {
+        if !self.pending.is_empty() {
+            self.led.note_priority_drain();
+            while self.commit_next(true, ecu) {}
         }
     }
 
-    /// Barrier: after this, the VIO filter holds the serial visual-update
-    /// state. Must precede any event that *reads* the filter (GPS fix
-    /// ingestion, the control tick's fused position).
-    fn sync_frontend(&mut self, vio: &mut VioFilter, led: &LatencyLedger) {
-        if let Self::Piped(p) = self {
-            p.sync_frontend(vio, led);
-        }
+    /// Blocks until every dispatched job has been taken — front-end first,
+    /// since it feeds the detector.
+    fn drain(&mut self, ecu: &mut Ecu) {
+        self.take_frontend(true);
+        self.take_detections();
+        while self.commit_next(true, ecu) {}
     }
 
     /// Health interop: entering a degraded mode drains everything in
     /// flight (in order) and serializes subsequent dispatches; returning
     /// to nominal resumes pipelining.
-    fn set_degraded(
-        &mut self,
-        degraded: bool,
-        ecu: &mut Ecu,
-        arena: &FrameArena,
-        last: &mut Vec<Detection>,
-        vio: &mut VioFilter,
-        led: &LatencyLedger,
-    ) {
-        let Self::Piped(p) = self else { return };
-        if degraded && !p.sync_mode {
-            p.sync_frontend(vio, led);
-            p.sync_detections(last, led);
-            p.drain_plans(ecu, arena, led);
+    fn set_degraded(&mut self, degraded: bool, ecu: &mut Ecu) {
+        if degraded && !self.sync_mode {
+            self.drain(ecu);
         }
-        p.sync_mode = degraded;
+        self.sync_mode = degraded;
     }
 
-    /// End of drive: drains all in-flight work and returns every pooled
-    /// buffer to the arena. Dropping `self` afterwards closes the job
-    /// rings, which is what lets the lanes exit.
-    fn shutdown(
-        &mut self,
-        ecu: &mut Ecu,
-        arena: &FrameArena,
-        last: &mut Vec<Detection>,
-        vio: &mut VioFilter,
-        led: &LatencyLedger,
-    ) {
-        let Self::Piped(p) = self else { return };
-        p.sync_frontend(vio, led);
-        p.sync_detections(last, led);
-        p.drain_plans(ecu, arena, led);
-        for buf in p.det_free.drain(..) {
-            arena.recycle(buf);
+    /// End of drive: drains every node, returns every pooled buffer to the
+    /// arena, and hands back the VIO filter. Dropping the nodes closes
+    /// their job rings, which is what lets the lanes exit.
+    fn shutdown(mut self, ecu: &mut Ecu) -> VioFilter {
+        self.drain(ecu);
+        for buf in self.det_free.drain(..) {
+            self.arena.recycle(buf);
         }
+        self.arena.recycle(std::mem::take(&mut self.detections));
+        self.vio
     }
 }
 
-/// Borrowed pieces of [`Sov`] (minus detector and planner, which live in
-/// [`StageLanes`]) plus the drive parameters.
-struct DriveEnv<'a> {
-    config: &'a VehicleConfig,
-    camera: &'a Camera,
-    radars: &'a mut RadarArray,
-    sonars: &'a mut SonarArray,
-    gps: &'a mut GpsReceiver,
-    latency: &'a mut LatencyPipeline,
-    synchronizer: &'a Synchronizer,
-    rng: &'a mut SovRng,
-    perf: &'a PerfContext,
-    scenario: &'a Scenario,
+/// The closed-loop event kernel. Every sensing, fusion, health, and
+/// bookkeeping statement runs on the sequencer; the front-end, detection
+/// and planning go through the stage nodes, placed wherever
+/// [`PerfContext::stage_placement`] says — which is what makes
+/// bit-identity across placements auditable.
+fn drive_loop(
+    rig: &mut Rig,
+    perf: &PerfContext,
+    scenario: &Scenario,
     max_frames: u64,
-    faults: &'a FaultPlan,
-}
-
-/// The closed-loop event kernel shared by the serial and pipelined
-/// schedules. Every sensing, fusion, health, and bookkeeping statement is
-/// common to both paths; only detection and planning route through
-/// `lanes`, which is what makes bit-identity auditable.
-fn drive_loop(env: DriveEnv<'_>, mut lanes: StageLanes<'_>) -> DriveReport {
-    let DriveEnv {
+    faults: &FaultPlan,
+    (frontend, detector, planner): (FrontEndNode<'_>, DetectorNode<'_>, PlannerNode<'_>),
+) -> DriveReport {
+    let Rig {
         config,
         camera,
         radars,
@@ -1159,11 +638,7 @@ fn drive_loop(env: DriveEnv<'_>, mut lanes: StageLanes<'_>) -> DriveReport {
         latency,
         synchronizer,
         rng,
-        perf,
-        scenario,
-        max_frames,
-        faults,
-    } = env;
+    } = rig;
     let dt = config.control_period_s();
     let world = &scenario.world;
     let route_len = world.route.length_m();
@@ -1176,7 +651,6 @@ fn drive_loop(env: DriveEnv<'_>, mut lanes: StageLanes<'_>) -> DriveReport {
         speed_mps: 0.0,
     };
     let mut ecu = Ecu::new(config.ecu, config.vehicle);
-    let mut vio = VioFilter::new(start_pose, VioConfig::default());
     let mut fusion = GpsVioFusion::new(FusionConfig::default());
     let mut battery = Battery::full(config.battery.capacity_kwh);
     let mut report = DriveReport {
@@ -1243,11 +717,22 @@ fn drive_loop(env: DriveEnv<'_>, mut lanes: StageLanes<'_>) -> DriveReport {
     queue.schedule(SimTime::ZERO, Ev::Control(0));
 
     // Latest sensor products consumed by the control tick. The
-    // detection buffer comes from the frame arena and is refilled in
-    // place at the camera rate — no steady-state allocation.
+    // detection buffers come from the frame arena and circulate between
+    // the sequencer and the detector — no steady-state allocation.
     let mut last_scan: Option<sov_sensors::radar::RadarScan> = None;
-    let mut last_detections: Vec<Detection> = perf.arena.take();
-    last_detections.clear();
+    let mut stages = Stages {
+        frontend,
+        detector,
+        planner,
+        vio: VioFilter::new(start_pose, VioConfig::default()),
+        detections: perf.arena.take(),
+        det_free: Vec::new(),
+        pending: VecDeque::new(),
+        sync_mode: false,
+        arena: &perf.arena,
+        led,
+    };
+    stages.detections.clear();
     // Camera-frame bookkeeping for the VIO front-end.
     let mut last_camera_pose = start_pose;
     let mut last_camera_t = SimTime::ZERO;
@@ -1257,17 +742,10 @@ fn drive_loop(env: DriveEnv<'_>, mut lanes: StageLanes<'_>) -> DriveReport {
     let mut radar_k: u64 = 0;
 
     'sim: while let Some((t, ev)) = queue.pop() {
-        // Absorb finished pipeline work and commit every plan whose
-        // arrival is due — *before* physics advances to `t`, so the
-        // ECU promotes commands exactly as the serial schedule would.
-        lanes.pump(
-            t,
-            &mut ecu,
-            &perf.arena,
-            &mut last_detections,
-            &mut vio,
-            led,
-        );
+        // Take finished stage work and commit every plan whose arrival
+        // is due — *before* physics advances to `t`, so the ECU promotes
+        // commands exactly as the serial schedule would.
+        stages.pump(t, &mut ecu);
         // Advance the vehicle to `t` under the ECU's actuation,
         // promoting matured commands along the way.
         while physics_t < t {
@@ -1362,11 +840,11 @@ fn drive_loop(env: DriveEnv<'_>, mut lanes: StageLanes<'_>) -> DriveReport {
                 // the control-critical path (pending plan commits) is
                 // drained ahead of this speculative front-end dispatch.
                 if policy.drain && monitor.overrun_predicted() {
-                    lanes.priority_drain(&mut ecu, &perf.arena, led);
+                    stages.priority_drain(&mut ecu);
                 }
                 // The per-frame stage work — visual front-end (disparity,
-                // tracking, ego-motion) and detection — runs inline on the
-                // serial schedule or on the sensing/perception lanes
+                // tracking, ego-motion) and detection — runs in the
+                // front-end and detector nodes, wherever they are placed
                 // (FIFO, so each stage's internal state and RNG evolve in
                 // exactly the serial frame order). Everything the
                 // ego-motion increment needs from sequencer-side state is
@@ -1392,16 +870,7 @@ fn drive_loop(env: DriveEnv<'_>, mut lanes: StageLanes<'_>) -> DriveReport {
                             + faults.magnitude(FaultKind::ImuBiasJump, t, k),
                     }
                 });
-                lanes.camera_frame(
-                    cam_frame,
-                    req,
-                    k,
-                    &mut vio,
-                    &mut last_detections,
-                    world,
-                    &perf.arena,
-                    led,
-                );
+                stages.camera_frame(cam_frame, req, k);
                 last_camera_pose = state.pose;
                 last_camera_t = t;
                 // Delivery carries the frame-sequence number so the
@@ -1418,8 +887,8 @@ fn drive_loop(env: DriveEnv<'_>, mut lanes: StageLanes<'_>) -> DriveReport {
             }
             Ev::Gps(k) => {
                 // Fix ingestion *reads* the VIO estimate: barrier on the
-                // sensing lane so the filter is in its serial state.
-                lanes.sync_frontend(&mut vio, led);
+                // front-end so the filter is in its serial state.
+                stages.take_frontend(true);
                 let quality = if faults.is_active(FaultKind::GpsMultipath, t) {
                     GnssQuality::Multipath
                 } else if scenario.gps_degraded_at(frac) {
@@ -1437,7 +906,7 @@ fn drive_loop(env: DriveEnv<'_>, mut lanes: StageLanes<'_>) -> DriveReport {
                 // localization running on dead-reckoned VIO, and the
                 // watchdog starving on rejections is what demotes the
                 // vehicle to DegradedLocalization speed.
-                if fusion.ingest_fix(&mut vio, &fix) == FixOutcome::Fused {
+                if fusion.ingest_fix(&mut stages.vio, &fix) == FixOutcome::Fused {
                     health.gps_seen(t);
                 }
                 queue.schedule(t + gps_period, Ev::Gps(k + 1));
@@ -1487,25 +956,17 @@ fn drive_loop(env: DriveEnv<'_>, mut lanes: StageLanes<'_>) -> DriveReport {
                     DegradationMode::SafeStop => 0.0,
                 };
                 // Pipeline/health interop: a degraded tick drains the
-                // lanes and serializes (nothing is ever reordered); a
+                // nodes and serializes (nothing is ever reordered); a
                 // nominal tick only barriers on the camera frames
                 // dispatched before this tick, so the fused position and
                 // obstacle merge below see exactly the serial VIO and
-                // detection state. Front-end first: the sensing lane
-                // feeds the perception lane.
-                lanes.set_degraded(
-                    mode != DegradationMode::Nominal,
-                    &mut ecu,
-                    &perf.arena,
-                    &mut last_detections,
-                    &mut vio,
-                    led,
-                );
-                lanes.sync_frontend(&mut vio, led);
-                lanes.sync_detections(&mut last_detections, led);
+                // detection state. Front-end first: it feeds the detector.
+                stages.set_degraded(mode != DegradationMode::Nominal, &mut ecu);
+                stages.take_frontend(true);
+                stages.take_detections();
 
                 // Localization estimate drives the lane-keeping inputs.
-                let est = fusion.position(&vio);
+                let est = fusion.position(&stages.vio);
                 let (est_station, lateral) = world
                     .route
                     .project(&world.map, est.x, est.y)
@@ -1533,7 +994,7 @@ fn drive_loop(env: DriveEnv<'_>, mut lanes: StageLanes<'_>) -> DriveReport {
                 // With the proactive perception path degraded the
                 // camera detections are stale — plan on radar alone.
                 if mode < DegradationMode::ReactiveOnly {
-                    for det in &last_detections {
+                    for det in &stages.detections {
                         let covered = obstacles
                             .iter()
                             .any(|o| (o.station_m - det.depth_m).abs() < 3.0);
@@ -1579,24 +1040,21 @@ fn drive_loop(env: DriveEnv<'_>, mut lanes: StageLanes<'_>) -> DriveReport {
                 };
                 // The command reaches the ECU after computing + CAN —
                 // unless the CAN frame is lost, in which case the ECU
-                // simply keeps actuating the previous command. On the
-                // pipelined schedule the plan is computed on the
-                // planning lane and committed by the sequencer under
-                // the `PipedLanes` equivalence rules.
+                // simply keeps actuating the previous command. The
+                // sequencer commits the planner node's result under the
+                // `Stages` equivalence rules, wherever the node runs.
                 let can_lost = faults.strikes(FaultKind::CanFrameLoss, t, frame);
                 if can_lost {
                     report.can_frames_lost += 1;
                 }
                 let arrival = t + computing + SimDuration::from_millis(1);
-                lanes.plan(
+                stages.plan(
                     input,
                     arrival,
                     can_lost,
                     frame,
                     mode != DegradationMode::Nominal,
                     &mut ecu,
-                    &perf.arena,
-                    led,
                 );
 
                 // ---- Bookkeeping (per control tick). ----
@@ -1636,8 +1094,7 @@ fn drive_loop(env: DriveEnv<'_>, mut lanes: StageLanes<'_>) -> DriveReport {
     }
     // Drain whatever is still in flight (the drive can end mid-frame)
     // and hand every pooled buffer back to the arena.
-    lanes.shutdown(&mut ecu, &perf.arena, &mut last_detections, &mut vio, led);
-    perf.arena.recycle(last_detections);
+    let vio = stages.shutdown(&mut ecu);
     // Collect the tail breakdown and hand the ledger's buffers back to
     // the arena (allocation-free across drives once warm).
     report.tail = TailReport::collect(led, &perf.arena);
@@ -1926,16 +1383,16 @@ mod tests {
 
     #[test]
     fn pipelined_drive_is_allocation_free_in_steady_state() {
-        // Both front-end routes: workers 3 (sequencer) and 4 (sensing
-        // lane — outputs are `Copy` and frames/buffers circulate, so the
-        // extra stage adds no steady-state allocation).
+        // Both front-end placements: workers 3 (inline on the sequencer)
+        // and 4 (its own lane — outputs are `Copy` and frames/buffers
+        // circulate, so the extra lane adds no steady-state allocation).
         for workers in [3, 4] {
             let scenario = Scenario::fishers_indiana(3);
             let mut piped = Sov::new(VehicleConfig::perceptin_pod(), 3);
             piped.set_perf(PerfContext::with_pipeline_workers(3, workers));
             let _ = piped.drive(&scenario, 100).unwrap();
             // Warm arena: detection and obstacle buffers all circulate
-            // through the rings and back without touching the allocator.
+            // through the nodes and back without touching the allocator.
             piped.perf().arena.reset_stats();
             let _ = piped.drive(&scenario, 50).unwrap();
             let stats = piped.perf().arena.stats();
@@ -1949,19 +1406,11 @@ mod tests {
         let scenario = Scenario::fishers_indiana(3);
         let mut piped = Sov::new(VehicleConfig::perceptin_pod(), 3);
         piped.set_perf(PerfContext::with_pipeline(3));
-        let _ = piped.drive(&scenario, 100).unwrap();
-        let occ = &piped.perf().occupancy;
-        for lane in [
-            LaneOccupancy::SENSING,
-            LaneOccupancy::PERCEPTION,
-            LaneOccupancy::PLANNING,
-        ] {
-            assert!(
-                occ.busy(lane) > std::time::Duration::ZERO,
-                "lane {lane} never ran"
-            );
+        let report = piped.drive(&scenario, 100).unwrap();
+        for lane in [SENSING, PERCEPTION, PLANNING] {
+            let busy: f64 = report.tail.stage_compute_ms[lane].samples().iter().sum();
+            assert!(busy > 0.0, "lane {lane} never ran");
         }
-        assert!(occ.wall() > std::time::Duration::ZERO);
     }
 
     #[test]

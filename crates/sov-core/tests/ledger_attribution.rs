@@ -4,12 +4,13 @@
 //! per-sample residual into `max_residual_ns`, so one gate per drive
 //! covers every stage sample and every end-to-end frame sample.
 //!
-//! The sweep covers depths 1–4 × workers 0–8 (including the depth-2 /
-//! workers-0 pathology cell, which must fall back to the serial
-//! schedule), with and without fault injection. Serial-effective drives
-//! additionally must attribute **zero** queue and stall time: stages abut
-//! on one thread, so any nonzero wait there is an accounting bug, not a
-//! scheduling fact.
+//! The sweep covers depths 1–4 × workers 0–8 — every mapping of the
+//! drive's three stage nodes onto lanes, including the depth-2 /
+//! workers-0 pathology cell, which must run every node inline — with and
+//! without fault injection. Each node stamps its own samples. Serial-
+//! effective drives additionally must attribute **zero** queue and stall
+//! time: inline nodes run on the sequencer at dispatch, so any nonzero
+//! wait there is an accounting bug, not a scheduling fact.
 
 use sov_core::config::VehicleConfig;
 use sov_core::sov::{DriveReport, Sov};

@@ -3,10 +3,11 @@
 //! to the serial drive for every pipeline depth and worker count — with
 //! and without fault injection.
 //!
-//! The worker axis sweeps all three lane topologies: `workers >= 4` hosts
-//! the visual front-end on its own sensing lane, exactly 3 keeps the
-//! front-end on the sequencer (detector + planner lanes only), and
-//! `workers <= 2` falls back to the fully serial schedule.
+//! The worker axis sweeps every mapping `PerfContext::stage_placement`
+//! makes of the drive's three stage nodes onto one sequencer program:
+//! `workers >= 4` puts the front-end, detector and planner nodes on
+//! lanes, exactly 3 keeps the front-end inline on the sequencer, and
+//! `workers <= 2` runs every node inline — the serial schedule.
 //!
 //! [`DriveReport`]'s `PartialEq` is exact (bitwise on every float), so
 //! `prop_assert_eq!` here really is a bit-identity check.

@@ -28,7 +28,7 @@
 //! | `unsafe-comment` | every `unsafe` is preceded by a `// SAFETY:` comment stating its invariant |
 //! | `stdout` | no `println!`/`print!`/`eprintln!`/`dbg!` in library code (benches, bins, and tests excepted) |
 //! | `env-read` | no `std::env` reads in library code (config must flow through explicit parameters) |
-//! | `stale-allow` | every allowlisted path exists under the scanned root, so a deleted file cannot leave its exemption behind |
+//! | `stale-allow` | every allowlisted path exists under the scanned root and still has a site of its rule outside test code, so a deleted file or a removed site cannot leave its exemption behind |
 //!
 //! # Suppressions
 //!
@@ -51,20 +51,12 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// Files allowed to read the wall clock, with the audited reason.
-/// These are the telemetry measurement points: the latency ledger and
-/// the stage-stamp sites that feed it, plus the bench harness.
+/// These are the telemetry measurement points: the stage-stamp sites
+/// that feed the latency ledger, plus the bench harness.
 const WALL_CLOCK_ALLOW: &[(&str, &str)] = &[
     (
-        "crates/sov-runtime/src/ledger.rs",
-        "the latency ledger is the telemetry measurement point",
-    ),
-    (
         "crates/sov-runtime/src/pipeline.rs",
-        "pipeline lane stamps feeding the ledger",
-    ),
-    (
-        "crates/sov-core/src/sov.rs",
-        "drive-loop stage stamps feeding the ledger",
+        "pipeline lane and stage-node stamps feeding the ledger",
     ),
     (
         "crates/sov-testkit/src/bench.rs",
@@ -102,7 +94,8 @@ pub enum Rule {
     EnvRead,
     /// Malformed suppression (missing justification or unknown rule).
     Suppression,
-    /// An allowlist entry naming a file that does not exist.
+    /// An allowlist entry naming a file that does not exist or that has
+    /// no site of the entry's rule outside test code.
     StaleAllow,
 }
 
@@ -649,6 +642,12 @@ const SORT_WINDOW: usize = 12;
 /// in diagnostics and allowlist matching.
 #[must_use]
 pub fn lint_source(rel: &str, source: &str) -> Vec<Diagnostic> {
+    lint_file(rel, source, true)
+}
+
+/// [`lint_source`], honouring the file allowlists only when `allowlists`
+/// is set.
+fn lint_file(rel: &str, source: &str, allowlists: bool) -> Vec<Diagnostic> {
     let scan = FileScan::new(rel, source);
     let mut out: Vec<Diagnostic> = Vec::new();
     let mut push = |line: usize, rule: Rule, message: String| {
@@ -668,9 +667,9 @@ pub fn lint_source(rel: &str, source: &str) -> Vec<Diagnostic> {
     }
 
     let names = map_names(&scan.lines);
-    let wall_clock_allowed = WALL_CLOCK_ALLOW.iter().any(|(f, _)| *f == scan.rel);
-    let unsafe_allowed = UNSAFE_ALLOW.iter().any(|(f, _)| *f == scan.rel);
-    let stdout_allowed = STDOUT_ALLOW.contains(&scan.rel.as_str());
+    let wall_clock_allowed = allowlists && WALL_CLOCK_ALLOW.iter().any(|(f, _)| *f == scan.rel);
+    let unsafe_allowed = allowlists && UNSAFE_ALLOW.iter().any(|(f, _)| *f == scan.rel);
+    let stdout_allowed = allowlists && STDOUT_ALLOW.contains(&scan.rel.as_str());
     let bench = scan.is_bench_crate();
 
     for (i, line) in scan.lines.iter().enumerate() {
@@ -877,7 +876,7 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 /// Lints the whole workspace rooted at `root`: every `.rs` file under
 /// `crates/*/{src,tests,benches,examples}`, the facade `src/`, root
 /// `tests/`, and `examples/`; and every allowlisted path must exist
-/// under `root`.
+/// under `root` and still need its entry.
 ///
 /// # Errors
 ///
@@ -912,20 +911,39 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
     }
     let allowlists = WALL_CLOCK_ALLOW
         .iter()
-        .map(|&(f, _)| (f, "WALL_CLOCK_ALLOW"))
-        .chain(UNSAFE_ALLOW.iter().map(|&(f, _)| (f, "UNSAFE_ALLOW")))
-        .chain(STDOUT_ALLOW.iter().map(|&f| (f, "STDOUT_ALLOW")));
-    for (file, list) in allowlists {
-        if !root.join(file).is_file() {
-            out.push(Diagnostic {
-                file: file.to_string(),
-                line: 0,
-                rule: Rule::StaleAllow,
-                message: format!(
-                    "sov-lint's {list} names this file, which does not exist; drop the entry"
-                ),
-            });
-        }
+        .map(|&(f, _)| (f, Rule::WallClock, "WALL_CLOCK_ALLOW"))
+        .chain(
+            UNSAFE_ALLOW
+                .iter()
+                .map(|&(f, _)| (f, Rule::UnsafeSite, "UNSAFE_ALLOW")),
+        )
+        .chain(
+            STDOUT_ALLOW
+                .iter()
+                .map(|&f| (f, Rule::Stdout, "STDOUT_ALLOW")),
+        );
+    for (file, rule, list) in allowlists {
+        let path = root.join(file);
+        let message = if !path.is_file() {
+            format!("sov-lint's {list} names this file, which does not exist; drop the entry")
+        } else if !lint_file(file, &std::fs::read_to_string(&path)?, false)
+            .iter()
+            .any(|d| d.rule == rule)
+        {
+            format!(
+                "sov-lint's {list} names this file, which has no `{}` site outside test \
+                 code; drop the entry",
+                rule.name()
+            )
+        } else {
+            continue;
+        };
+        out.push(Diagnostic {
+            file: file.to_string(),
+            line: 0,
+            rule: Rule::StaleAllow,
+            message,
+        });
     }
     out.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     Ok(out)
@@ -966,7 +984,7 @@ mod tests {
     #[test]
     fn wall_clock_allowlisted_file_is_clean() {
         let src = "fn stamp() { let _ = std::time::Instant::now(); }\n";
-        assert!(rules_at("crates/sov-runtime/src/ledger.rs", src).is_empty());
+        assert!(rules_at("crates/sov-runtime/src/pipeline.rs", src).is_empty());
     }
 
     #[test]

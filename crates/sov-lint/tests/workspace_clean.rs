@@ -84,3 +84,45 @@ fn stale_allowlist_entries_are_reported() {
         "only stale entries to report: {diags:?}"
     );
 }
+
+#[test]
+fn allowlist_entries_without_a_library_site_are_reported() {
+    // Every allowlisted file exists, but a clock read inside a test module
+    // needs no wall-clock exemption, and a file that never prints needs
+    // no stdout one; pool.rs's `unsafe` still needs its entry.
+    let root = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("unused-allowlist");
+    let _ = std::fs::remove_dir_all(&root);
+    for (rel, src) in [
+        (
+            "crates/sov-runtime/src/pipeline.rs",
+            "#[cfg(test)]\nmod tests {\n    fn t() { let _ = std::time::Instant::now(); }\n}\n",
+        ),
+        (
+            "crates/sov-runtime/src/pool.rs",
+            "// SAFETY: callers pass a valid pointer.\npub unsafe fn f(p: *const u8) -> u8 { *p }\n",
+        ),
+        (
+            "crates/sov-testkit/src/bench.rs",
+            "pub fn f() -> std::time::Instant { std::time::Instant::now() }\n",
+        ),
+    ] {
+        let path = root.join(rel);
+        std::fs::create_dir_all(path.parent().expect("file has a parent")).expect("temp tree");
+        std::fs::write(path, src).expect("temp file");
+    }
+    let diags = sov_lint::lint_workspace(&root).expect("temp tree walks");
+    let unused: Vec<(&str, &str)> = diags
+        .iter()
+        .map(|d| (d.file.as_str(), d.message.as_str()))
+        .collect();
+    assert!(
+        diags.iter().all(|d| d.rule == Rule::StaleAllow),
+        "{diags:?}"
+    );
+    assert_eq!(unused.len(), 2, "{unused:?}");
+    assert_eq!(unused[0].0, "crates/sov-runtime/src/pipeline.rs");
+    assert!(unused[0].1.contains("WALL_CLOCK_ALLOW"), "{unused:?}");
+    assert_eq!(unused[1].0, "crates/sov-testkit/src/bench.rs");
+    assert!(unused[1].1.contains("STDOUT_ALLOW"), "{unused:?}");
+    assert!(unused.iter().all(|(_, m)| m.contains("outside test code")));
+}

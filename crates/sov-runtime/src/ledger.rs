@@ -38,9 +38,15 @@ use crate::arena::FrameArena;
 use std::cell::{Cell, RefCell};
 use std::time::Instant;
 
-/// Number of attributed pipeline stages (sensing, perception, planning) —
-/// indexed by the [`crate::LaneOccupancy`] lane constants.
+/// Number of attributed pipeline stages, indexed by [`SENSING`],
+/// [`PERCEPTION`] and [`PLANNING`].
 pub const STAGES: usize = 3;
+/// Stage index of sensing (the visual front-end).
+pub const SENSING: usize = 0;
+/// Stage index of perception (the detector).
+pub const PERCEPTION: usize = 1;
+/// Stage index of planning (MPC).
+pub const PLANNING: usize = 2;
 
 /// One stage's latency decomposition for one frame.
 ///
@@ -52,7 +58,7 @@ pub struct StageSample {
     /// Frame index (camera frame for sensing/perception, control frame
     /// for planning).
     pub frame: u64,
-    /// Stage index (a [`crate::LaneOccupancy`] lane constant).
+    /// Stage index ([`SENSING`], [`PERCEPTION`] or [`PLANNING`]).
     pub stage: usize,
     /// Directly measured dispatch→absorb span (`t3 − t0`), ns.
     pub span_ns: u64,

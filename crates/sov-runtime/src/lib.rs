@@ -7,8 +7,10 @@
 //! image processing dominated by memory traffic and redundant data
 //! movement. [`pipeline::FramePipeline`] overlaps whole stages across
 //! frames (sensing → perception → planning on pool lanes joined by the
-//! bounded SPSC rings of [`queue`]); the rest of this crate supplies the
-//! complementary layer — data parallelism *inside* each stage — plus the
+//! bounded SPSC rings of [`queue`]), and [`pipeline::StageNode`] lets a
+//! sequencer with its own event loop run each stage inline or on a lane
+//! with one program for every placement; the rest of this crate supplies
+//! the complementary layer — data parallelism *inside* each stage — plus the
 //! allocation discipline that makes a steady-state control tick free of
 //! heap traffic:
 //!
@@ -35,77 +37,8 @@ pub mod pipeline;
 pub mod pool;
 pub mod queue;
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use pipeline::Placement;
 use std::sync::Arc;
-use std::time::Duration;
-
-/// Busy-time telemetry for the three coarse pipeline lanes (sensing,
-/// perception, planning) of a piped drive.
-///
-/// Each lane accumulates the wall-clock time it spent actually computing
-/// (not blocked on its rings); the sequencer records the drive's total
-/// wall time. `busy / wall` is the lane's occupancy — the quantity Fig. 5
-/// argues should approach 1 for the bottleneck stage at depth ≥ 3.
-///
-/// Purely observational: written with relaxed atomics from the lanes,
-/// read after the drive, and **never** fed back into any computed value —
-/// so it cannot perturb the bit-identity invariant.
-#[derive(Debug, Default)]
-pub struct LaneOccupancy {
-    busy_ns: [AtomicU64; 3],
-    wall_ns: AtomicU64,
-}
-
-impl LaneOccupancy {
-    /// Index of the sensing lane (visual front-end).
-    pub const SENSING: usize = 0;
-    /// Index of the perception lane (detector).
-    pub const PERCEPTION: usize = 1;
-    /// Index of the planning lane (MPC).
-    pub const PLANNING: usize = 2;
-
-    /// Clears all counters (call before a measured drive).
-    pub fn reset(&self) {
-        for b in &self.busy_ns {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.wall_ns.store(0, Ordering::Relaxed);
-    }
-
-    /// Adds `busy` compute time to `lane` (one of the index constants).
-    pub fn record(&self, lane: usize, busy: Duration) {
-        self.busy_ns[lane].fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Records the drive's total wall-clock time.
-    pub fn set_wall(&self, wall: Duration) {
-        self.wall_ns
-            .store(wall.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Accumulated busy time of `lane`.
-    #[must_use]
-    pub fn busy(&self, lane: usize) -> Duration {
-        Duration::from_nanos(self.busy_ns[lane].load(Ordering::Relaxed))
-    }
-
-    /// The recorded wall time.
-    #[must_use]
-    pub fn wall(&self) -> Duration {
-        Duration::from_nanos(self.wall_ns.load(Ordering::Relaxed))
-    }
-
-    /// Occupancy of `lane`: busy over wall, `0.0` before any wall time is
-    /// recorded.
-    #[must_use]
-    pub fn fraction(&self, lane: usize) -> f64 {
-        let wall = self.wall_ns.load(Ordering::Relaxed);
-        if wall == 0 {
-            return 0.0;
-        }
-        self.busy_ns[lane].load(Ordering::Relaxed) as f64 / wall as f64
-    }
-}
 
 /// The performance context threaded through the hot path: an optional
 /// worker pool (serial when absent), the frame arena, and the inter-frame
@@ -123,13 +56,11 @@ pub struct PerfContext {
     /// Inter-frame pipeline depth for `Sov::drive_with_plan` and
     /// [`pipeline::FramePipeline`]: `0` or `1` keeps today's serial frame
     /// schedule; `d > 1` overlaps up to `d` in-flight frames across the
-    /// sensing/perception/planning lanes. Requires a pool with at least
+    /// sensing/perception/planning stages. Requires a pool with at least
     /// three lanes to take effect (it silently — and bit-identically —
-    /// falls back to serial otherwise).
+    /// falls back to serial otherwise); see
+    /// [`PerfContext::stage_placement`].
     pub pipeline_depth: usize,
-    /// Per-lane busy/idle telemetry of the most recent piped drive
-    /// (zeroed and refilled by each piped `Sov::drive_with_plan`).
-    pub occupancy: Arc<LaneOccupancy>,
     /// End-to-end tail-latency attribution of the most recent drive:
     /// per-stage compute / ring-queue wait / drain-stall samples, recorded
     /// allocation-free into the arena by the sequencer (see
@@ -160,23 +91,26 @@ impl PerfContext {
     }
 
     /// A context that pipelines up to `depth` in-flight frames across the
-    /// three coarse stages, backed by a **four**-lane pool: one worker
-    /// lane each for the visual front-end (sensing), the detector
-    /// (perception), and the MPC planner, with the sequencer on the
-    /// calling thread. `with_pipeline(1)` is exactly the serial schedule.
+    /// three coarse stages, backed by a **four**-lane pool: the visual
+    /// front-end (sensing), the detector (perception) and the MPC planner
+    /// each run as a stage node on a worker lane, with the sequencer on
+    /// the calling thread (see [`PerfContext::stage_placement`]).
+    /// `with_pipeline(1)` is exactly the serial schedule.
     #[must_use]
     pub fn with_pipeline(depth: usize) -> Self {
         Self::with_pipeline_workers(depth, 4)
     }
 
     /// [`PerfContext::with_pipeline`] with an explicit pool size, for
-    /// ablations over depth × workers. Three lanes host the detector and
-    /// planner but keep the visual front-end on the sequencer; fewer than
-    /// three cannot host the stages at all, so such contexts run the
-    /// serial schedule (every variant bit-identical by construction).
-    /// `workers == 0` means no pool at all — the pathological
-    /// "piped but nothing to pipe onto" cell, which
-    /// [`PerfContext::effective_pipeline_depth`] normalizes to serial.
+    /// ablations over depth × workers. [`PerfContext::stage_placement`]
+    /// maps the stages onto the pool: three lanes put the detector and
+    /// planner nodes on lanes and keep the visual front-end inline on the
+    /// sequencer; fewer than three cannot host the stages at all, so such
+    /// contexts run every node inline — the serial schedule (every
+    /// mapping bit-identical by construction). `workers == 0` means no
+    /// pool at all — the pathological "piped but nothing to pipe onto"
+    /// cell, which [`PerfContext::effective_pipeline_depth`] normalizes to
+    /// serial.
     #[must_use]
     pub fn with_pipeline_workers(depth: usize, workers: usize) -> Self {
         Self {
@@ -208,9 +142,7 @@ impl PerfContext {
 
     /// The pipeline depth that will actually take effect: a depth > 1
     /// requires a pool with at least three lanes to host the stages, so
-    /// anything less normalizes to `1` (the serial schedule). This is the
-    /// single gate both `Sov::drive_with_plan` and the benches consult —
-    /// piped mode without a worker pool falls back to serial instead of
+    /// anything less normalizes to `1` (the serial schedule) instead of
     /// paying ring overhead with no overlap.
     #[must_use]
     pub fn effective_pipeline_depth(&self) -> usize {
@@ -219,6 +151,27 @@ impl PerfContext {
             depth
         } else {
             1
+        }
+    }
+
+    /// Where each drive stage node runs, indexed by the
+    /// [`ledger::SENSING`], [`ledger::PERCEPTION`] and
+    /// [`ledger::PLANNING`] constants. The one placement decision that
+    /// both `Sov::drive_with_plan` and the benches consult: serial puts
+    /// every node inline; a pipelined context with three lanes puts the
+    /// detector and planner on lanes and keeps the front-end inline; four
+    /// or more lanes put all three on lanes. Every mapping produces the
+    /// same drive bit for bit.
+    #[must_use]
+    pub fn stage_placement(&self) -> [Placement; ledger::STAGES] {
+        use Placement::{Inline, Lane};
+        match (
+            self.effective_pipeline_depth(),
+            self.pool().map(pool::WorkerPool::lanes),
+        ) {
+            (1, _) => [Inline; ledger::STAGES],
+            (_, Some(lanes)) if lanes >= 4 => [Lane; ledger::STAGES],
+            _ => [Inline, Lane, Lane],
         }
     }
 }
@@ -253,7 +206,9 @@ mod tests {
 
     #[test]
     fn effective_depth_requires_three_lanes() {
+        use Placement::{Inline, Lane};
         assert_eq!(PerfContext::serial().effective_pipeline_depth(), 1);
+        assert_eq!(PerfContext::serial().stage_placement(), [Inline; 3]);
         let no_pool = PerfContext {
             pipeline_depth: 3,
             ..PerfContext::default()
@@ -261,28 +216,24 @@ mod tests {
         assert_eq!(no_pool.effective_pipeline_depth(), 1, "no pool → serial");
         let narrow = PerfContext::with_pipeline_workers(3, 2);
         assert_eq!(narrow.effective_pipeline_depth(), 1, "2 lanes → serial");
+        assert_eq!(narrow.stage_placement(), [Inline; 3]);
         let zero = PerfContext::with_pipeline_workers(2, 0);
         assert!(zero.pool().is_none(), "0 workers → no pool");
         assert_eq!(zero.effective_pipeline_depth(), 1, "d2/w0 → serial");
         let wide = PerfContext::with_pipeline_workers(3, 3);
         assert_eq!(wide.effective_pipeline_depth(), 3);
+        assert_eq!(
+            wide.stage_placement(),
+            [Inline, Lane, Lane],
+            "front-end inline"
+        );
+        assert_eq!(PerfContext::with_pipeline(3).stage_placement(), [Lane; 3]);
+        assert_eq!(
+            PerfContext::with_workers(8).stage_placement(),
+            [Inline; 3],
+            "depth 1"
+        );
         let tail = PerfContext::serial().with_tail_policy(ledger::TailPolicy::draining());
         assert!(tail.tail.drain && !tail.tail.shed);
-    }
-
-    #[test]
-    fn occupancy_accumulates_and_resets() {
-        let occ = LaneOccupancy::default();
-        occ.record(LaneOccupancy::SENSING, Duration::from_millis(30));
-        occ.record(LaneOccupancy::SENSING, Duration::from_millis(20));
-        occ.record(LaneOccupancy::PLANNING, Duration::from_millis(10));
-        assert_eq!(occ.fraction(LaneOccupancy::SENSING), 0.0, "no wall yet");
-        occ.set_wall(Duration::from_millis(100));
-        assert!((occ.fraction(LaneOccupancy::SENSING) - 0.5).abs() < 1e-12);
-        assert!((occ.fraction(LaneOccupancy::PLANNING) - 0.1).abs() < 1e-12);
-        assert_eq!(occ.fraction(LaneOccupancy::PERCEPTION), 0.0);
-        occ.reset();
-        assert_eq!(occ.busy(LaneOccupancy::SENSING), Duration::ZERO);
-        assert_eq!(occ.wall(), Duration::ZERO);
     }
 }

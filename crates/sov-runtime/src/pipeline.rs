@@ -49,11 +49,26 @@
 //! already in flight commits **in order**, and the remaining frames run
 //! serially on the calling thread — degraded operation falls back to the
 //! serial schedule instead of reordering frames.
+//!
+//! # Stage nodes
+//!
+//! A sequencer that owns its own event loop (`Sov::drive_with_plan`)
+//! builds one [`StageNode`] per stage instead: a stateful stage closure
+//! run inline at [`dispatch`](StageNode::dispatch) or on a pool lane
+//! behind a job ring and a done ring of `depth` slots each, per its
+//! [`Placement`]. [`take`](StageNode::take) returns results in dispatch
+//! order either way and records their ledger samples, so one sequencer
+//! program serves every mapping of stages to lanes; serial is the mapping
+//! with every node inline. Lanes never talk to each other, and once
+//! `depth` jobs are out `dispatch` first *parks* the oldest result on the
+//! sequencer side: the sequencer never blocks on a send, and every
+//! blocking receive waits on a lane that is computing.
 
 use crate::arena::FrameArena;
-use crate::ledger::FrameAttribution;
+use crate::ledger::{FrameAttribution, LatencyLedger, StageSample};
 use crate::pool::WorkerPool;
-use crate::queue::ring;
+use crate::queue::{ring, RingReceiver, RingSender};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -418,6 +433,174 @@ impl FramePipeline {
     }
 }
 
+/// Where a [`StageNode`] runs its stage.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Placement {
+    /// On the sequencer, inside [`StageNode::dispatch`].
+    Inline,
+    /// On a pool lane, behind a job ring and a done ring.
+    Lane,
+}
+
+/// A lane node's worker loop, to run on a pool lane through
+/// [`WorkerPool::run_lanes`] for as long as the node is alive.
+pub type LaneBody<'env> = Box<dyn FnOnce() + Send + 'env>;
+
+/// One stage result: frame, output, and the dispatch, compute-start and
+/// compute-end stamps of its ledger sample.
+type Done<Out> = (u64, Out, [Instant; 3]);
+
+enum Exec<'env, In, Out> {
+    Inline(Box<dyn FnMut(In) -> Out + Send + 'env>),
+    Lane {
+        jobs: RingSender<(u64, In, Instant)>,
+        done: RingReceiver<Done<Out>>,
+        /// Jobs sent whose results are still on the lane side.
+        out: usize,
+    },
+}
+
+/// One pipeline stage as the sequencer sees it (module docs, "Stage
+/// nodes"): a stateful stage closure run inline or on a pool lane, with
+/// results taken back in dispatch order and attributed in the ledger.
+pub struct StageNode<'env, In, Out> {
+    /// Stage index of the ledger samples (a [`crate::ledger`] constant).
+    stage: usize,
+    depth: usize,
+    ledger: &'env LatencyLedger,
+    exec: Exec<'env, In, Out>,
+    /// Results already on the sequencer side — inline results and lane
+    /// results parked by `dispatch` — with the stall spent parking them.
+    parked: VecDeque<(Done<Out>, u64)>,
+}
+
+/// Blocks for a lane's next result; returns it with its absorb stamp and
+/// the stall: the blocked time past the lane's compute end (a result
+/// that was already waiting stalls nothing).
+fn wait<Out>(done: &RingReceiver<Done<Out>>) -> (Done<Out>, Instant, u64) {
+    let t_r = Instant::now();
+    let d = done.recv().expect("stage lane exited");
+    let t3 = Instant::now();
+    let stall_ns = t3.saturating_duration_since(t_r.max(d.2[2])).as_nanos() as u64;
+    (d, t3, stall_ns)
+}
+
+impl<'env, In: Send + 'env, Out: Send + 'env> StageNode<'env, In, Out> {
+    /// Builds a node for `stage` running where `placement` says, with
+    /// `depth` jobs in flight at most; `stage_index` tags its samples in
+    /// `ledger`. A lane node also returns its [`LaneBody`], which must be
+    /// running on a pool lane before the node's results are taken.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `depth == 0`.
+    pub fn new<F>(
+        stage_index: usize,
+        placement: Placement,
+        depth: usize,
+        ledger: &'env LatencyLedger,
+        mut stage: F,
+    ) -> (Self, Option<LaneBody<'env>>)
+    where
+        F: FnMut(In) -> Out + Send + 'env,
+    {
+        assert!(depth > 0, "a stage node needs depth at least 1");
+        let (exec, body) = match placement {
+            Placement::Inline => (Exec::Inline(Box::new(stage)), None),
+            Placement::Lane => {
+                let (jobs, job_rx) = ring::<(u64, In, Instant)>(depth);
+                let (done_tx, done) = ring::<Done<Out>>(depth);
+                let body: LaneBody<'env> = Box::new(move || {
+                    while let Some((frame, input, t0)) = job_rx.recv() {
+                        let t1 = Instant::now();
+                        let out = stage(input);
+                        if done_tx
+                            .send((frame, out, [t0, t1, Instant::now()]))
+                            .is_err()
+                        {
+                            break;
+                        }
+                    }
+                });
+                (Exec::Lane { jobs, done, out: 0 }, Some(body))
+            }
+        };
+        let node = Self {
+            stage: stage_index,
+            depth,
+            ledger,
+            exec,
+            parked: VecDeque::with_capacity(depth),
+        };
+        (node, body)
+    }
+
+    /// Hands `input` (frame `frame`) to the stage: runs it now when
+    /// inline; otherwise sends it to the lane, first parking the oldest
+    /// lane result when `depth` jobs are already out.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node's lane has exited (its stage panicked).
+    pub fn dispatch(&mut self, frame: u64, input: In) {
+        match &mut self.exec {
+            Exec::Inline(stage) => {
+                let t0 = Instant::now();
+                let out = stage(input);
+                self.parked
+                    .push_back(((frame, out, [t0, t0, Instant::now()]), 0));
+            }
+            Exec::Lane { jobs, done, out } => {
+                if *out == self.depth {
+                    let (d, _, stall_ns) = wait(done);
+                    *out -= 1;
+                    self.parked.push_back((d, stall_ns));
+                }
+                if jobs.send((frame, input, Instant::now())).is_err() {
+                    panic!("stage lane exited");
+                }
+                *out += 1;
+            }
+        }
+    }
+
+    /// The oldest result not yet taken, in dispatch order, with its ledger
+    /// sample (already recorded). With `block`, waits for the lane when
+    /// the result is still being computed; without, returns `None` unless
+    /// it is ready. `None` always when nothing is outstanding, so
+    /// `while let Some(..) = node.take(true)` drains the node.
+    ///
+    /// Inline results are pure compute (`t0 == t1`, `t2 == t3`, no stall);
+    /// a lane result is absorbed (`t3`) when taken, parked or not.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a blocking take finds the node's lane gone.
+    pub fn take(&mut self, block: bool) -> Option<(Out, StageSample)> {
+        let ((frame, out, [t0, t1, t2]), t3, stall_ns) =
+            match (self.parked.pop_front(), &mut self.exec) {
+                (Some((d, _)), Exec::Inline(_)) => {
+                    let t2 = d.2[2];
+                    (d, t2, 0)
+                }
+                (Some((d, stall_ns)), Exec::Lane { .. }) => (d, Instant::now(), stall_ns),
+                (None, Exec::Lane { done, out, .. }) if *out > 0 => {
+                    let taken = if block {
+                        wait(done)
+                    } else {
+                        (done.try_recv()?, Instant::now(), 0)
+                    };
+                    *out -= 1;
+                    taken
+                }
+                (None, _) => return None,
+            };
+        let sample = StageSample::from_stamps(self.stage, frame, t0, t1, t2, t3, stall_ns);
+        self.ledger.record_stage(sample);
+        Some((out, sample))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -743,6 +926,90 @@ mod tests {
                 "lanes still run after a {name} panic"
             );
         }
+    }
+
+    /// Drives one node through `jobs` dispatches of job `3k + 1`, mixing
+    /// non-blocking and blocking takes and leaving results out between
+    /// them, then drains it. Returns the outputs and samples in take order.
+    fn run_node(
+        placement: Placement,
+        depth: usize,
+        pool: &WorkerPool,
+        jobs: u64,
+        stage: impl FnMut(u64) -> u64 + Send,
+    ) -> (Vec<u64>, Vec<StageSample>) {
+        let ledger = LatencyLedger::default();
+        let (node, body) = StageNode::new(0, placement, depth, &ledger, stage);
+        let taken = pool.run_lanes(body.into_iter().collect(), move || {
+            let mut node = node;
+            let mut taken = Vec::new();
+            for k in 0..jobs {
+                node.dispatch(k, 3 * k + 1);
+                if k % 3 != 0 {
+                    taken.extend(node.take(k % 5 == 4));
+                }
+            }
+            while let Some(t) = node.take(true) {
+                taken.push(t);
+            }
+            taken
+        });
+        ledger.with_samples(|stages, _| assert_eq!(stages.len(), taken.len()));
+        taken.into_iter().unzip()
+    }
+
+    /// A stateful stage: each output folds every earlier input.
+    fn fold() -> impl FnMut(u64) -> u64 + Send {
+        let mut state = 0u64;
+        move |x| {
+            state = state.wrapping_mul(0x9E37_79B9).wrapping_add(x);
+            state
+        }
+    }
+
+    #[test]
+    fn node_outputs_and_samples_hold_for_both_placements_and_depths_1_to_4() {
+        let pool = WorkerPool::new(2);
+        let reference: Vec<u64> = (0..50u64).map(|k| 3 * k + 1).map(fold()).collect();
+        for placement in [Placement::Inline, Placement::Lane] {
+            for depth in 1..=4 {
+                let (out, samples) = run_node(placement, depth, &pool, 50, fold());
+                assert_eq!(out, reference, "{placement:?} at depth {depth}");
+                for (k, s) in samples.iter().enumerate() {
+                    assert_eq!(s.frame, k as u64, "dispatch order");
+                    assert!(s.residual_ns() <= 1_000, "{placement:?}: {s:?}");
+                    if placement == Placement::Inline {
+                        assert_eq!((s.queue_ns, s.stall_ns), (0, 0), "inline never waits");
+                        assert_eq!(s.compute_ns, s.span_ns);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_lane_node_stage_panic_reaches_the_caller_and_the_pool_survives() {
+        let pool = Arc::new(WorkerPool::new(2));
+        let lanes = Arc::clone(&pool);
+        let (tx, rx) = mpsc::channel();
+        // On a worker thread, so a deadlock fails the test instead of
+        // hanging it.
+        let runner = std::thread::spawn(move || {
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                run_node(Placement::Lane, 2, &lanes, 200, |x| {
+                    assert!(x != 3 * 5 + 1, "injected stage fault at job 5");
+                    x
+                })
+            }));
+            let _ = tx.send(result.is_err());
+        });
+        let panicked = rx
+            .recv_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("a stage panic deadlocked the node"));
+        runner.join().expect("the runner catches the stage panic");
+        assert!(panicked, "a stage panic must reach the caller");
+        let (reused, _) = run_node(Placement::Lane, 2, &pool, 40, fold());
+        assert_eq!(reused.len(), 40, "pool reusable after a stage panic");
     }
 
     #[test]

@@ -14,15 +14,18 @@
 //!    chunk-claim / completion-barrier: no double-claim, no skipped
 //!    chunk, exactly-once completion signal, and the dispatching caller
 //!    always wakes.
-//! 3. **The pipeline drain argument (`sov_runtime::pipeline`,
-//!    DESIGN.md §10)** — with done rings sized `2·depth + 4`, the lane
-//!    graph absorbs every frame the dispatch gate can put in flight, so
-//!    no schedule deadlocks and results drain in FIFO order.
+//! 3. **The stage node (`sov_runtime::pipeline::StageNode`,
+//!    DESIGN.md §9)** — a sequencer dispatching to a lane behind job and
+//!    done rings of `depth` slots, parking the oldest result whenever
+//!    `depth` jobs are out: no schedule deadlocks, whatever mix of
+//!    blocking and non-blocking takes, and results arrive in dispatch
+//!    order.
 //!
 //! Each protocol also ships **deliberately broken variants** (a queue
 //! whose push skips its wakeup, a recv that skips the wake-up re-check, a
-//! pool whose chunk claim is a non-atomic read-then-write, an undersized
-//! done ring) with tests asserting the checker *finds* each bug — the
+//! pool whose chunk claim is a non-atomic read-then-write, a node that
+//! dispatches without parking) with tests asserting the checker *finds*
+//! each bug — the
 //! guard that keeps this harness from rotting into always-green.
 //!
 //! Granularity: operations under a modeled lock collapse into the
@@ -451,7 +454,8 @@ impl Model for PoolModel {
 }
 
 // ---------------------------------------------------------------------------
-// Protocol 3: pipeline drain / done-ring sizing (DESIGN.md §10).
+// Protocol 3: the stage node (`sov_runtime::pipeline::StageNode`,
+// DESIGN.md §9).
 // ---------------------------------------------------------------------------
 
 /// A ring abstracted to the granularity RingModel already verified:
@@ -482,66 +486,117 @@ impl MRing {
     }
 }
 
-/// Caller/lane program counters for [`PipelineModel`].
+/// The take the sequencer makes after dispatching job `i`: none, a
+/// non-blocking take, or a blocking one. The first six dispatches take
+/// nothing, so `depth` jobs are out at every dispatch from the third on —
+/// the park path — and a dispatch that does not park can overfill the
+/// lane; the rest mix both kinds of take with parked results.
+fn take_after(i: u32) -> Option<bool> {
+    match i {
+        6 | 8 => Some(false),
+        7 => Some(true),
+        _ => None,
+    }
+}
+
+/// Program counters for [`NodeModel`]: thread 0 is the sequencer, thread
+/// 1 the lane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PipePc {
-    /// Caller: dispatching frames into the first work ring.
+enum NodePc {
+    /// Sequencer: parks the oldest lane result if `depth` jobs are out.
     Dispatch,
-    /// Caller: closing the first work ring.
-    CloseInput,
-    /// Caller: draining the done ring until it closes.
+    /// Sequencer: sends the job to the lane.
+    Send,
+    /// Sequencer: one take after a dispatch (`true` = blocking).
+    Take(bool),
+    /// Sequencer: blocking takes until nothing is outstanding, then
+    /// closes the job ring.
     Drain,
-    /// Lane: receiving from its input ring.
+    /// Lane: receives a job.
     Recv,
-    /// Lane: forwarding the held frame to its output ring.
-    Forward,
-    /// Program finished.
+    /// Lane: deposits the held job's result.
+    Deposit,
     Exited,
 }
 
-/// The worst window between drains: the caller dispatches `n` frames
-/// before collecting anything (the pattern between two block-drain
-/// points in `Sov::drive_with_plan`), two lanes forward frames through
-/// depth-`d` work rings into the done ring, and only then does the
-/// caller drain. Every in-flight frame must find a resting place or the
-/// lane graph wedges — the `2·depth + 4` sizing argument.
+/// One lane node driven by its sequencer: `n` dispatches at `depth`, each
+/// followed by the [`take_after`] take, then a drain. The lane only
+/// receives jobs and deposits results, so the graph stays live unless
+/// the sequencer sends into a full job ring while the lane waits on a
+/// full done ring — which the park step rules out.
 #[derive(Clone)]
-struct PipelineModel {
+struct NodeModel {
+    depth: usize,
     n: u32,
-    rings: [MRing; 3], // work ring a, work ring b, done ring
-    pc: [PipePc; 3],   // caller, lane 1, lane 2
+    /// Seeded bug: dispatch without the park step.
+    skip_park: bool,
+    jobs: MRing,
+    done: MRing,
+    pc: [NodePc; 2],
     sent: u32,
-    held: [u32; 2],
-    results: Vec<u32>,
+    /// Jobs sent whose results are still on the lane side.
+    out: usize,
+    parked: VecDeque<u32>,
+    held: u32,
+    taken: Vec<u32>,
 }
 
-impl PipelineModel {
-    fn new(depth: usize, n: u32, done_cap: usize) -> Self {
+impl NodeModel {
+    fn new(depth: usize, n: u32, skip_park: bool) -> Self {
         Self {
+            depth,
             n,
-            rings: [MRing::new(depth), MRing::new(depth), MRing::new(done_cap)],
-            pc: [PipePc::Dispatch, PipePc::Recv, PipePc::Recv],
+            skip_park,
+            jobs: MRing::new(depth),
+            done: MRing::new(depth),
+            pc: [NodePc::Dispatch, NodePc::Recv],
             sent: 0,
-            held: [0; 2],
-            results: Vec::new(),
+            out: 0,
+            parked: VecDeque::new(),
+            held: 0,
+            taken: Vec::new(),
+        }
+    }
+
+    fn parks(&self) -> bool {
+        !self.skip_park && self.out == self.depth
+    }
+
+    /// One `take`: parked results first, then the done ring.
+    fn take(&mut self) {
+        if let Some(v) = self.parked.pop_front() {
+            self.taken.push(v);
+        } else if let Some(v) = self.done.buf.pop_front() {
+            self.out -= 1;
+            self.taken.push(v);
+        }
+    }
+
+    fn next(&self) -> NodePc {
+        if self.sent < self.n {
+            NodePc::Dispatch
+        } else {
+            NodePc::Drain
         }
     }
 }
 
-impl Model for PipelineModel {
+impl Model for NodeModel {
     fn threads(&self) -> usize {
-        3
+        2
     }
 
     fn status(&self, t: ThreadId) -> Status {
-        let ready = match (t, self.pc[t]) {
-            (_, PipePc::Exited) => return Status::Done,
-            (0, PipePc::Dispatch) => self.rings[0].can_send(),
-            (0, PipePc::CloseInput) => true,
-            (0, PipePc::Drain) => self.rings[2].can_recv(),
-            (lane, PipePc::Recv) => self.rings[lane - 1].can_recv(),
-            (lane, PipePc::Forward) => self.rings[lane].can_send(),
-            (t, pc) => unreachable!("thread {t} at {pc:?}"),
+        // A blocking take waits only for a result still on the lane.
+        let take_ready = !self.parked.is_empty() || self.out == 0 || self.done.can_recv();
+        let ready = match self.pc[t] {
+            NodePc::Exited => return Status::Done,
+            NodePc::Dispatch => !self.parks() || self.done.can_recv(),
+            NodePc::Send => self.jobs.can_send(),
+            NodePc::Take(block) => !block || take_ready,
+            NodePc::Drain => take_ready,
+            NodePc::Recv => self.jobs.can_recv(),
+            NodePc::Deposit => self.done.can_send(),
         };
         if ready {
             Status::Runnable
@@ -551,48 +606,67 @@ impl Model for PipelineModel {
     }
 
     fn step(&mut self, t: ThreadId, _spurious: bool) {
-        match (t, self.pc[t]) {
-            (0, PipePc::Dispatch) => {
-                self.rings[0].buf.push_back(self.sent);
-                self.sent += 1;
-                if self.sent == self.n {
-                    self.pc[0] = PipePc::CloseInput;
+        match self.pc[t] {
+            NodePc::Dispatch => {
+                if self.parks() {
+                    let v = self.done.buf.pop_front().expect("status gated");
+                    self.out -= 1;
+                    self.parked.push_back(v);
                 }
+                self.pc[0] = NodePc::Send;
             }
-            (0, PipePc::CloseInput) => {
-                self.rings[0].open = false;
-                self.pc[0] = PipePc::Drain;
+            NodePc::Send => {
+                self.jobs.buf.push_back(self.sent);
+                self.out += 1;
+                self.sent += 1;
+                self.pc[0] = take_after(self.sent - 1).map_or_else(|| self.next(), NodePc::Take);
             }
-            (0, PipePc::Drain) => match self.rings[2].buf.pop_front() {
-                Some(v) => self.results.push(v),
-                None => self.pc[0] = PipePc::Exited,
-            },
-            (lane, PipePc::Recv) => match self.rings[lane - 1].buf.pop_front() {
+            NodePc::Take(_) => {
+                self.take();
+                self.pc[0] = self.next();
+            }
+            NodePc::Drain if self.parked.is_empty() && self.out == 0 => {
+                self.jobs.open = false;
+                self.pc[0] = NodePc::Exited;
+            }
+            NodePc::Drain => self.take(),
+            NodePc::Recv => match self.jobs.buf.pop_front() {
                 Some(v) => {
-                    self.held[lane - 1] = v;
-                    self.pc[lane] = PipePc::Forward;
+                    self.held = v;
+                    self.pc[1] = NodePc::Deposit;
                 }
                 None => {
-                    self.rings[lane].open = false;
-                    self.pc[lane] = PipePc::Exited;
+                    self.done.open = false;
+                    self.pc[1] = NodePc::Exited;
                 }
             },
-            (lane, PipePc::Forward) => {
-                self.rings[lane].buf.push_back(self.held[lane - 1]);
-                self.pc[lane] = PipePc::Recv;
+            NodePc::Deposit => {
+                self.done.buf.push_back(self.held);
+                self.pc[1] = NodePc::Recv;
             }
-            (t, pc) => unreachable!("stepped thread {t} at {pc:?}"),
+            NodePc::Exited => unreachable!("stepped an exited thread"),
         }
     }
 
+    fn invariant(&self) -> Result<(), String> {
+        let lane_side =
+            self.jobs.buf.len() + self.done.buf.len() + usize::from(self.pc[1] == NodePc::Deposit);
+        if lane_side != self.out || (!self.skip_park && self.out > self.depth) {
+            return Err(format!(
+                "{lane_side} jobs on the lane side, {} counted",
+                self.out
+            ));
+        }
+        Ok(())
+    }
+
     fn finished(&self) -> Result<(), String> {
-        let expected: Vec<u32> = (0..self.n).collect();
-        if self.results == expected {
+        if self.taken == (0..self.n).collect::<Vec<_>>() {
             Ok(())
         } else {
             Err(format!(
-                "pipeline reordered or dropped frames: {:?}",
-                self.results
+                "node reordered or dropped results: {:?}",
+                self.taken
             ))
         }
     }
@@ -664,14 +738,17 @@ fn ring_and_pool_jointly_clear_ten_thousand_clean_schedules() {
 }
 
 #[test]
-fn pipeline_done_ring_sized_two_depth_plus_four_never_deadlocks() {
-    // depth 2, 10 frames in the drain window: 2·2+4 = 8-slot done ring.
+fn stage_node_never_deadlocks_and_takes_in_dispatch_order() {
+    // depth 2, 10 dispatches; blocking and non-blocking takes interleave
+    // with parked results on every bounded schedule.
     let report = Explorer {
-        max_preemptions: 2,
+        max_preemptions: 3,
         ..Explorer::default()
     }
-    .explore(&PipelineModel::new(2, 10, 2 * 2 + 4));
+    .explore(&NodeModel::new(2, 10, false));
     report.assert_clean();
+    eprintln!("node model schedules: {}", report.schedules);
+    assert!(report.exhausted, "bounded space fully enumerated");
     assert!(report.schedules > 100, "schedules: {}", report.schedules);
 }
 
@@ -706,15 +783,14 @@ fn seeded_double_claim_pool_is_flagged() {
 }
 
 #[test]
-fn undersized_done_ring_deadlocks_the_drain_window() {
-    // Same lane graph, done ring of 1 slot: 10 in-flight frames cannot
-    // all rest (2 + 2 + 1 rings + 2 in-lane registers + 1 unsent = 8),
-    // so the caller wedges against its own drain point.
+fn seeded_dispatch_without_park_is_flagged_as_deadlock() {
+    // Without the park step a slow lane lets the sequencer send into a
+    // full job ring while the lane waits on a full done ring.
     let report = Explorer {
-        max_preemptions: 2,
+        max_preemptions: 3,
         ..Explorer::default()
     }
-    .explore(&PipelineModel::new(2, 10, 1));
+    .explore(&NodeModel::new(2, 10, true));
     let v = report.violation.expect("the wedge must be found");
     assert_eq!(v.kind, ViolationKind::Deadlock, "{}", v.message);
 }

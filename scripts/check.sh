@@ -48,7 +48,7 @@ echo "== latency-ledger attribution proptests (spans telescope exactly) =="
 cargo test --offline -q -p sov-core --test ledger_attribution
 
 echo "== bounded-schedule model checking of the concurrency core    =="
-echo "== (SPSC ring protocol, pool chunk claiming, pipeline drain;  =="
+echo "== (SPSC ring protocol, pool chunk claiming, stage node;     =="
 echo "== exhaustive interleavings + seeded-broken-variant checks)   =="
 cargo test --offline -q -p sov-runtime --test model_protocols
 
@@ -79,7 +79,9 @@ echo "== equal the committed BENCH_perf.json digest; the per-frame fold   =="
 echo "== does not depend on the frame count)                             =="
 cargo build --offline --release -p sov-bench --bins
 perf_json="$(mktemp)"
-trap 'rm -f "$perf_json"' EXIT
+pipeline_json="$(mktemp)"
+fault_json="$(mktemp)"
+trap 'rm -f "$perf_json" "$pipeline_json" "$fault_json"' EXIT
 ./target/release/perf_matrix --smoke --json "$perf_json"
 checksums() { grep -o '"checksum": "[0-9a-f]*"' "$1" | sort -u; }
 committed="$(checksums BENCH_perf.json)"
@@ -90,14 +92,33 @@ if [ "$(printf '%s\n' "$committed" | wc -l)" -ne 1 ] || [ "$fresh" != "$committe
 fi
 echo "perf digest gate: every cell prints the committed ${committed#*: }"
 
-echo "== pipeline_matrix smoke (front-end-lane cells + tail gate; exits =="
-echo "== non-zero on checksum mismatch, an idle lane in the d3 w4 drive =="
-echo "== cell, or — on hosts with >= 3 cores — a drained p99.9 that     =="
-echo "== fails to beat the undrained drive)                             =="
+echo "== pipeline_matrix, full matrix (every stage placement + tail gate; =="
+echo "== exits non-zero on checksum mismatch, an idle lane in the d3 w4   =="
+echo "== drive cell, or — on hosts with >= 3 cores — a drained p99.9 that =="
+echo "== fails to beat the undrained drive); then every drive/tail-cell   =="
+echo "== report_digest and replay checksum must equal BENCH_pipeline.json =="
 if [ "$(nproc 2>/dev/null || echo 0)" -lt 3 ]; then
   echo "warning: host has < 3 cores — pipeline_matrix tail gate is informational only"
 fi
-./target/release/pipeline_matrix --smoke
+./target/release/pipeline_matrix --json "$pipeline_json"
+digests() { grep -o '"\(report_digest\|checksum\)": "[0-9a-f]*"' "$1"; }
+if ! diff <(digests BENCH_pipeline.json) <(digests "$pipeline_json"); then
+  echo "pipeline digest gate: fresh digests differ from BENCH_pipeline.json (above)"
+  exit 1
+fi
+echo "pipeline digest gate: $(digests "$pipeline_json" | wc -l) digests equal BENCH_pipeline.json"
+
+echo "== fault_matrix (22 fault runs, each re-driven piped at d3 w4; every =="
+echo "== run's fields other than the wall-clock attribution must equal    =="
+echo "== BENCH_fault.json)                                                =="
+./target/release/fault_matrix --json "$fault_json"
+# One run per line; the attribution object closes each line.
+runs() { grep '"scenario"' "$1" | sed 's/, "attribution": .*$//'; }
+if [ "$(runs BENCH_fault.json | wc -l)" -eq 0 ] || ! diff <(runs BENCH_fault.json) <(runs "$fault_json"); then
+  echo "fault digest gate: fresh runs differ from BENCH_fault.json (above)"
+  exit 1
+fi
+echo "fault digest gate: $(runs "$fault_json" | wc -l) runs equal BENCH_fault.json"
 
 echo "== scenario_matrix smoke (generated scenarios × faults, safety =="
 echo "== invariants per frame; proves worker-lane JSON invariance)   =="
