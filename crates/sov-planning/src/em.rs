@@ -17,7 +17,7 @@
 //! compared head-to-head on the same scenarios (the `planner_compare`
 //! experiment and criterion benches).
 
-use crate::qp::{speed_tracking_qp, QpProblem};
+use crate::qp::SpeedQp;
 use crate::{LaneDecision, Plan, Planner, PlanningInput, TrajectoryPoint};
 use sov_vehicle::dynamics::ControlCommand;
 
@@ -64,16 +64,38 @@ impl Default for EmConfig {
 }
 
 /// The EM-style planner.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct EmPlanner {
     config: EmConfig,
+    /// The speed QP over `speed_knots`, and the per-refinement speed
+    /// references and per-plan reachability bounds it solves for.
+    qp: SpeedQp,
+    refs: Vec<f64>,
+    lo: Vec<f64>,
+    hi: Vec<f64>,
+}
+
+/// Planners are equal when they are configured alike: the rest is a workspace
+/// that every [`Planner::plan`] call overwrites before reading.
+impl PartialEq for EmPlanner {
+    fn eq(&self, other: &Self) -> bool {
+        self.config == other.config
+    }
 }
 
 impl EmPlanner {
     /// Creates a planner.
     #[must_use]
     pub fn new(config: EmConfig) -> Self {
-        Self { config }
+        let n = config.speed_knots;
+        Self {
+            config,
+            // Speed-tracking weight 1, smoothness weight 4.
+            qp: SpeedQp::new(n, 1.0, 4.0),
+            refs: Vec::with_capacity(n),
+            lo: vec![0.0; n],
+            hi: vec![0.0; n],
+        }
     }
 
     fn lateral_of(&self, index: usize) -> f64 {
@@ -148,8 +170,8 @@ impl EmPlanner {
     }
 
     /// Phase 2: speed QP along the chosen path.
-    fn speed_qp(&self, input: &PlanningInput, path: &[f64]) -> Vec<f64> {
-        let cfg = &self.config;
+    fn speed_qp(&mut self, input: &PlanningInput, path: &[f64]) -> Vec<f64> {
+        let cfg = self.config;
         // Stop distance: first station whose path cell is still blocked.
         let mut stop_station = f64::INFINITY;
         for (s, &lat) in path.iter().enumerate() {
@@ -160,27 +182,28 @@ impl EmPlanner {
             }
         }
         let mut speeds = vec![input.ref_speed_mps; cfg.speed_knots];
+        for (k, (lo, hi)) in self.lo.iter_mut().zip(&mut self.hi).enumerate() {
+            let t = (k + 1) as f64 * cfg.speed_dt_s;
+            *lo = (input.speed_mps - cfg.max_decel * t).max(0.0);
+            *hi = input.speed_mps + cfg.max_accel * t;
+        }
         for _ in 0..cfg.refinement_iters {
             // Build references honoring the stop constraint, given the
             // current speed profile's station estimates.
-            let mut refs = Vec::with_capacity(cfg.speed_knots);
+            self.refs.clear();
             let mut station = 0.0;
-            for v in speeds.iter().take(cfg.speed_knots) {
+            for v in &speeds {
                 let remaining = (stop_station - 2.0 - station).max(0.0);
                 let v_allow = (2.0 * 2.0 * remaining).sqrt(); // comfort 2 m/s²
-                refs.push(input.ref_speed_mps.min(v_allow));
+                self.refs.push(input.ref_speed_mps.min(v_allow));
                 station += v * cfg.speed_dt_s;
             }
-            let (h, g) = speed_tracking_qp(&refs, 1.0, 4.0);
-            let mut lo = vec![0.0; cfg.speed_knots];
-            let mut hi = vec![f64::INFINITY; cfg.speed_knots];
-            for k in 0..cfg.speed_knots {
-                let t = (k + 1) as f64 * cfg.speed_dt_s;
-                lo[k] = (input.speed_mps - cfg.max_decel * t).max(0.0);
-                hi[k] = input.speed_mps + cfg.max_accel * t;
-            }
-            if let Ok(sol) = QpProblem::new(h, g, lo, hi).and_then(|qp| qp.solve(600, 1e-7)) {
-                speeds = sol.x;
+            if self
+                .qp
+                .solve(&self.refs, &self.lo, &self.hi, 600, 1e-7)
+                .is_ok()
+            {
+                speeds.copy_from_slice(self.qp.x());
             }
         }
         speeds

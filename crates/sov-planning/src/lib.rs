@@ -12,7 +12,8 @@
 //! This crate implements both:
 //!
 //! * [`qp`] — a box-constrained quadratic-program solver (projected
-//!   gradient), the shared numerical substrate.
+//!   gradient), the shared numerical substrate, and the O(n) speed-QP
+//!   workspace both planners own ([`qp::SpeedQp`]).
 //! * [`mpc`] — the lane-granularity MPC planner ([`mpc::MpcPlanner`]).
 //! * [`em`] — the EM-style baseline ([`em::EmPlanner`]): DP over a
 //!   station–lateral lattice followed by QP speed smoothing.

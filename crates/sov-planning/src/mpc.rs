@@ -7,7 +7,7 @@
 //! receding horizon.
 
 use crate::collision::is_safe;
-use crate::qp::{speed_tracking_qp, QpProblem};
+use crate::qp::SpeedQp;
 use crate::{LaneDecision, Plan, Planner, PlanningInput, PlanningObstacle, TrajectoryPoint};
 use sov_vehicle::dynamics::ControlCommand;
 
@@ -61,16 +61,36 @@ impl Default for MpcConfig {
 }
 
 /// The MPC planner.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct MpcPlanner {
     config: MpcConfig,
+    /// The speed QP for `(horizon, w_v, w_a)`, and the per-plan speed
+    /// references and reachability bounds it solves for.
+    qp: SpeedQp,
+    refs: Vec<f64>,
+    lo: Vec<f64>,
+    hi: Vec<f64>,
+}
+
+/// Planners are equal when they are configured alike: the rest is a workspace
+/// that every [`Planner::plan`] call overwrites before reading.
+impl PartialEq for MpcPlanner {
+    fn eq(&self, other: &Self) -> bool {
+        self.config == other.config
+    }
 }
 
 impl MpcPlanner {
     /// Creates a planner.
     #[must_use]
     pub fn new(config: MpcConfig) -> Self {
-        Self { config }
+        Self {
+            config,
+            qp: SpeedQp::new(config.horizon, config.w_v, config.w_a),
+            refs: Vec::with_capacity(config.horizon),
+            lo: vec![0.0; config.horizon],
+            hi: vec![0.0; config.horizon],
+        }
     }
 
     /// Nearest obstacle blocking the lane at lateral offset `lane_l`,
@@ -136,11 +156,12 @@ impl MpcPlanner {
         }
     }
 
-    /// Builds the per-step speed references toward the target lane.
-    fn speed_references(&self, input: &PlanningInput, target_l: f64) -> Vec<f64> {
-        let cfg = &self.config;
+    /// Writes the per-step speed references toward the target lane into
+    /// `self.refs`.
+    fn speed_references(&mut self, input: &PlanningInput, target_l: f64) {
+        let cfg = self.config;
         let blocker = self.nearest_blocker(input, target_l);
-        let mut refs = Vec::with_capacity(cfg.horizon);
+        self.refs.clear();
         let mut station = 0.0;
         let mut v = input.speed_mps;
         for _ in 0..cfg.horizon {
@@ -150,13 +171,12 @@ impl MpcPlanner {
                 let d = (self.free_distance(b) + b.speed_along_mps * 0.0 - station).max(0.0);
                 v_ref = v_ref.min(self.allowed_speed(d));
             }
-            refs.push(v_ref);
+            self.refs.push(v_ref);
             // Roll the station forward with a provisional speed.
             v = (v + (v_ref - v).clamp(-cfg.max_decel * cfg.dt_s, cfg.max_accel * cfg.dt_s))
                 .max(0.0);
             station += v * cfg.dt_s;
         }
-        refs
     }
 }
 
@@ -164,22 +184,19 @@ impl Planner for MpcPlanner {
     fn plan(&mut self, input: &PlanningInput) -> Plan {
         let cfg = self.config;
         let (decision, target_l) = self.decide_lane(input);
-        let refs = self.speed_references(input, target_l);
+        self.speed_references(input, target_l);
 
         // QP over the speed profile with per-step reachability bounds.
-        let (h, g) = speed_tracking_qp(&refs, cfg.w_v, cfg.w_a);
-        let n = refs.len();
-        let mut lo = vec![0.0; n];
-        let mut hi = vec![f64::INFINITY; n];
-        for k in 0..n {
+        let n = cfg.horizon;
+        for (k, (lo, hi)) in self.lo.iter_mut().zip(&mut self.hi).enumerate() {
             let t = (k + 1) as f64 * cfg.dt_s;
-            lo[k] = (input.speed_mps - cfg.max_decel * t).max(0.0);
-            hi[k] = input.speed_mps + cfg.max_accel * t;
+            *lo = (input.speed_mps - cfg.max_decel * t).max(0.0);
+            *hi = input.speed_mps + cfg.max_accel * t;
         }
-        let speeds = QpProblem::new(h, g, lo, hi)
-            .and_then(|qp| qp.solve(400, 1e-6))
-            .map(|s| s.x)
-            .unwrap_or(refs);
+        let speeds = match self.qp.solve(&self.refs, &self.lo, &self.hi, 400, 1e-6) {
+            Ok(_) => self.qp.x(),
+            Err(_) => &self.refs,
+        };
 
         // First-step command.
         let accel = ((speeds[0] - input.speed_mps) / cfg.dt_s).clamp(-cfg.max_decel, cfg.max_accel);
@@ -350,6 +367,22 @@ mod tests {
         .with_obstacle(static_obstacle(3.4, 0.0));
         let plan = p.plan(&input);
         assert_eq!(plan.decision, LaneDecision::Stop);
+    }
+
+    #[test]
+    fn nan_speed_falls_back_to_the_references_without_panicking() {
+        let mut p = MpcPlanner::new(MpcConfig::default());
+        let input = PlanningInput {
+            speed_mps: f64::NAN,
+            ..PlanningInput::cruising(5.6, 5.6)
+        }
+        .with_obstacle(static_obstacle(12.0, 0.0));
+        let plan = p.plan(&input);
+        // NaN reachability bounds make the QP infeasible, so the planned
+        // speeds are the (finite) references.
+        assert!(plan.trajectory[1..]
+            .iter()
+            .all(|point| point.speed_mps.is_finite()));
     }
 
     #[test]

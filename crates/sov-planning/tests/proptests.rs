@@ -1,7 +1,7 @@
 //! Property-based tests for planning.
 
 use sov_planning::mpc::{MpcConfig, MpcPlanner};
-use sov_planning::qp::{speed_tracking_qp, QpProblem};
+use sov_planning::qp::{speed_tracking_qp, QpProblem, SpeedQp};
 use sov_planning::{Planner, PlanningInput, PlanningObstacle};
 use sov_testkit::prelude::*;
 
@@ -94,6 +94,88 @@ proptest! {
                 "end speed {end_speed} grew as obstacle closed to {station} m"
             );
             prev_end_speed = end_speed;
+        }
+    }
+}
+
+/// Bit patterns, so that `-0.0 != 0.0` and NaNs compare.
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Bits of `flags` as a small selector: `pick(flags, shift, width)` is
+/// `(flags >> shift) mod 2^width`.
+fn pick(flags: u64, shift: u32, width: u32) -> u64 {
+    (flags >> shift) & ((1 << width) - 1)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // `SpeedQp` against the dense `QpProblem` oracle: the same `x`,
+    // objective (both to the bit), iteration count, convergence flag and
+    // error, on a workspace that has already solved another problem.
+    // `flags` switches on the edge cases: all-zero references, zero
+    // weights, unbounded knots, pinned knots (`lo == hi`, sometimes at
+    // +∞ or −0.0), crossed bounds and NaN bounds.
+    #[test]
+    fn speed_qp_matches_the_dense_oracle_bit_for_bit(
+        (n, flags) in (1usize..61, any::<u64>()),
+        (refs, lo, width) in (
+            prop::collection::vec(-2.0f64..10.0, 60),
+            prop::collection::vec(-1.0f64..5.0, 60),
+            prop::collection::vec(0.0f64..8.0, 60),
+        ),
+        (w_v, w_a) in (0.0f64..5.0, 0.0f64..20.0),
+        (max_iters, tol_exp) in (0usize..700, -12.0f64..-3.0),
+    ) {
+        let mut refs = refs[..n].to_vec();
+        let mut lo = lo[..n].to_vec();
+        let mut hi: Vec<f64> = lo.iter().zip(&width).map(|(l, w)| l + w).collect();
+        let at = pick(flags, 8, 6) as usize % n;
+        if pick(flags, 0, 3) == 0 {
+            refs.fill(0.0);
+        }
+        let w_v = if pick(flags, 3, 2) == 0 { 0.0 } else { w_v };
+        let w_a = if pick(flags, 5, 2) == 0 { 0.0 } else { w_a };
+        if pick(flags, 7, 1) == 0 {
+            hi.fill(f64::INFINITY);
+        }
+        if pick(flags, 14, 2) == 0 {
+            lo[at] = match pick(flags, 16, 2) {
+                0 => f64::INFINITY,
+                1 => -0.0,
+                _ => lo[at],
+            };
+            hi[at] = lo[at];
+        }
+        if pick(flags, 18, 3) == 0 {
+            lo[at] = hi[at] + 1.0;
+        }
+        if pick(flags, 21, 3) == 0 {
+            if pick(flags, 24, 1) == 0 {
+                lo[at] = f64::NAN;
+            } else {
+                hi[at] = f64::NAN;
+            }
+        }
+        let tol = 10f64.powf(tol_exp);
+
+        let (h, g) = speed_tracking_qp(&refs, w_v, w_a);
+        let dense = QpProblem::new(h, g, lo.clone(), hi.clone())
+            .and_then(|qp| qp.solve(max_iters, tol));
+        let mut ws = SpeedQp::new(n, w_v, w_a);
+        let other: Vec<f64> = refs.iter().rev().map(|r| r + 1.0).collect();
+        let _ = ws.solve(&other, &lo, &hi, max_iters, tol);
+        match (dense, ws.solve(&refs, &lo, &hi, max_iters, tol)) {
+            (Ok(d), Ok(s)) => {
+                prop_assert_eq!(bits(&d.x), bits(ws.x()), "x, n = {}", n);
+                prop_assert_eq!(d.objective.to_bits(), s.objective.to_bits());
+                prop_assert_eq!(d.iterations, s.iterations);
+                prop_assert_eq!(d.converged, s.converged);
+            }
+            (Err(d), Err(s)) => prop_assert_eq!(d, s),
+            (d, s) => panic!("dense {d:?} vs SpeedQp {s:?}"),
         }
     }
 }

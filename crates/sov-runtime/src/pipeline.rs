@@ -69,7 +69,7 @@ use crate::ledger::{FrameAttribution, LatencyLedger, StageSample};
 use crate::pool::WorkerPool;
 use crate::queue::{ring, RingReceiver, RingSender};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// Per-frame scratch handed to a pipeline stage.
@@ -111,12 +111,6 @@ pub struct PipelineRun {
     /// trades this *up* for throughput — report p99, not just p50 (COLA's
     /// tail-latency caveat).
     pub latencies: Vec<Duration>,
-    /// Accumulated compute time per stage (sense, perceive, plan+commit).
-    /// Busy time only — ring waits are excluded — so `stage_busy[i] / wall`
-    /// is stage `i`'s occupancy: the fraction of the run it actually
-    /// worked. The bottleneck stage's occupancy should approach 1 once the
-    /// pipeline is full (Fig. 5's throughput argument).
-    pub stage_busy: [Duration; 3],
     /// Per-frame latency attribution, in frame order: per-stage compute
     /// plus ring-queue wait and commit-thread stall, summing exactly to
     /// each frame's measured sense-start → commit-end span (the COLA
@@ -142,14 +136,18 @@ impl PipelineRun {
     }
 
     /// Occupancy of `stage` (0 = sense, 1 = perceive, 2 = plan+commit):
-    /// its busy time over the run's wall time, `0.0` for an empty run.
+    /// its compute time summed over [`attribution`](Self::attribution) —
+    /// busy time only, ring waits excluded — over the run's wall time,
+    /// `0.0` for an empty run. The bottleneck stage's occupancy should
+    /// approach 1 once the pipeline is full (Fig. 5's throughput argument).
     #[must_use]
     pub fn occupancy(&self, stage: usize) -> f64 {
         let wall = self.wall.as_secs_f64();
         if wall <= 0.0 {
             return 0.0;
         }
-        self.stage_busy[stage].as_secs_f64() / wall
+        let busy_ns: u64 = self.attribution.iter().map(|a| a.compute_ns[stage]).sum();
+        Duration::from_nanos(busy_ns).as_secs_f64() / wall
     }
 
     /// The `p`-th percentile (0.0–1.0, nearest-rank) of per-frame latency.
@@ -239,10 +237,6 @@ impl FramePipeline {
         let mut pipelined_frames: u64 = 0;
         let mut drained = false;
         let mut prev: Option<O> = None;
-        // Per-stage busy accumulators. The lane closures are moved to
-        // worker threads, so they deposit their totals through atomics;
-        // telemetry only — never read back into any stage input.
-        let busy_ns = [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)];
 
         if pipelined {
             let pool = pool.expect("pipelined implies a pool");
@@ -262,7 +256,6 @@ impl FramePipeline {
             let sense = &mut sense;
             let perceive = &mut perceive;
             let stop_ref = &stop;
-            let busy_ref = &busy_ns;
 
             let (c, d, p_out) = pool.run_lanes(
                 vec![
@@ -294,7 +287,6 @@ impl FramePipeline {
                                 },
                             );
                             let a1 = Instant::now();
-                            busy_ref[0].fetch_add((a1 - a0).as_nanos() as u64, Ordering::Relaxed);
                             if s_tx.send((k, s, a0, a1)).is_err() {
                                 break;
                             }
@@ -323,7 +315,6 @@ impl FramePipeline {
                                 },
                             );
                             let b1 = Instant::now();
-                            busy_ref[1].fetch_add((b1 - b0).as_nanos() as u64, Ordering::Relaxed);
                             let _ = s_ret_tx.send(s);
                             if p_tx.send((k, p, [a0, a1, b0, b1])).is_err() {
                                 break;
@@ -356,7 +347,6 @@ impl FramePipeline {
                         latencies.push(st[0].elapsed());
                         let verdict = commit(k, &o);
                         let c1 = Instant::now();
-                        busy_ref[2].fetch_add((c1 - c0).as_nanos() as u64, Ordering::Relaxed);
                         attribution.push(FrameAttribution::from_stamps(
                             k, st[0], st[1], st[2], st[3], t_r, c0, c1,
                         ));
@@ -392,7 +382,6 @@ impl FramePipeline {
                 },
             );
             let t1 = Instant::now();
-            busy_ns[0].fetch_add((t1 - t0).as_nanos() as u64, Ordering::Relaxed);
             let p = perceive(
                 k,
                 &s,
@@ -402,7 +391,6 @@ impl FramePipeline {
                 },
             );
             let t2 = Instant::now();
-            busy_ns[1].fetch_add((t2 - t1).as_nanos() as u64, Ordering::Relaxed);
             s_prev = Some(s);
             let o = plan(k, &p, prev.as_ref());
             p_prev = Some(p);
@@ -411,7 +399,6 @@ impl FramePipeline {
                 drained = true;
             }
             let t3 = Instant::now();
-            busy_ns[2].fetch_add((t3 - t2).as_nanos() as u64, Ordering::Relaxed);
             // Degenerate stamps: stages abut, so queue and stall collapse
             // to zero and the components sum to the span exactly.
             attribution.push(FrameAttribution::from_stamps(k, t0, t1, t1, t2, t2, t2, t3));
@@ -426,7 +413,6 @@ impl FramePipeline {
             drained,
             wall: started.elapsed(),
             latencies,
-            stage_busy: busy_ns.map(|ns| Duration::from_nanos(ns.load(Ordering::Relaxed))),
             attribution,
             serial_fallback: depth > 1 && frames > 0 && !pipelined,
         }
@@ -812,14 +798,15 @@ mod tests {
         for pool_opt in [None, Some(&pool)] {
             let (_, run) = checksums(pool_opt, 3, 40);
             for stage in 0..3 {
+                let busy_ns: u64 = run.attribution.iter().map(|a| a.compute_ns[stage]).sum();
                 assert!(
-                    run.stage_busy[stage] > Duration::ZERO,
+                    busy_ns > 0,
                     "stage {stage} busy time recorded (pooled: {})",
                     pool_opt.is_some()
                 );
                 assert!(run.occupancy(stage) > 0.0);
                 assert!(
-                    run.stage_busy[stage] <= run.wall.max(Duration::from_nanos(1)) * 2,
+                    Duration::from_nanos(busy_ns) <= run.wall.max(Duration::from_nanos(1)) * 2,
                     "busy cannot wildly exceed wall for a single lane"
                 );
             }

@@ -35,6 +35,11 @@ echo "== fused score+NMS bit-identity proptest (tile-seam corners vs =="
 echo "== the serial score-plane oracle)                             =="
 cargo test --offline -q -p sov-perception --lib fused_nms
 
+echo "== speed-QP bitwise oracle proptest (SpeedQp vs the dense   =="
+echo "== QpProblem: x and objective bits, iterations, convergence =="
+echo "== and errors, zero rows and NaN bounds included)           =="
+cargo test --offline -q -p sov-planning --test proptests speed_qp_matches_the_dense_oracle
+
 echo "== fault-window overlap-merge proptests =="
 cargo test --offline -q -p sov-fault --test proptests
 
@@ -145,5 +150,19 @@ fi
 echo "== fleet_matrix smoke, index off (pure linear-scan sweep: the =="
 echo "== sharded advance must stay byte-identical without the index) =="
 ./target/release/fleet_matrix --smoke --dispatch linear
+
+echo "== perfbench digest gate (each workload at seed 42, shortest run; =="
+echo "== its result line must read \"correct\": true, which needs the =="
+echo "== output checks and the perfbench/digests.json digest to match)  =="
+for workload in drive-mix fleet-peak perception-frame; do
+  result="$(python3 perfbench/run.py --workload "$workload" --seed 42 --seconds 0 --trace 0 | tail -n 1)"
+  case "$result" in
+    *'"correct": true'*) echo "perfbench $workload: correct, digest matched" ;;
+    *)
+      echo "perfbench $workload: not correct: $result"
+      exit 1
+      ;;
+  esac
+done
 
 echo "All checks passed."
