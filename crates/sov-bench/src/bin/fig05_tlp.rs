@@ -6,11 +6,11 @@
 //! to improve the throughput, which is dictated by the slowest stage."
 //!
 //! The stages run on [`FramePipeline`] over a 3-lane [`WorkerPool`]:
-//! sensing and perception each own a lane, planning runs on the calling
-//! thread. Depth 1 is the serialized baseline; depth `d > 1` lets up to
-//! `d` frames wait in each inter-stage ring.
+//! sensing and perception are stage nodes on a lane each, planning runs
+//! on the calling thread. Depth 1 is the serialized baseline; depth
+//! `d > 1` lets perception hold up to `d` frames.
 
-use sov_runtime::pipeline::{FrameControl, FramePipeline, PipelineRun, StageCtx};
+use sov_runtime::pipeline::{FramePipeline, PipelineRun};
 use sov_runtime::pool::WorkerPool;
 use std::time::Duration;
 
@@ -23,19 +23,15 @@ fn run(pool: &WorkerPool, depth: usize, frames: u64) -> PipelineRun {
     FramePipeline::new(depth).run(
         Some(pool),
         frames,
-        |k, _ctx: StageCtx<'_, u64>| {
+        |k| {
             work(0);
             k
         },
-        |_, s, _ctx: StageCtx<'_, u64>| {
+        |_, s| {
             work(1);
-            *s
+            s
         },
-        |_, p, _: Option<&u64>| {
-            work(2);
-            *p
-        },
-        |_, _| FrameControl::Continue,
+        |_, _| work(2),
     )
 }
 
@@ -52,8 +48,8 @@ fn main() {
     println!("running {frames} frames through sensing(8 ms) → perception(8 ms) → planning(1 ms)\n");
 
     sov_bench::section("depth sweep (FramePipeline, 3 lanes; depth 1 = serialized)");
-    println!("  deeper rings absorb stage jitter; with balanced stages they stay");
-    println!("  nearly empty, so per-frame latency holds at the stage sum\n");
+    println!("  a deeper perception stage absorbs jitter; with balanced stages it");
+    println!("  stays nearly empty, so per-frame latency holds at the stage sum\n");
     let pool = WorkerPool::new(3);
     let runs: Vec<(usize, PipelineRun)> = [1usize, 2, 4, 8, 16]
         .into_iter()

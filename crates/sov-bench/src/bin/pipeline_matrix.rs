@@ -23,11 +23,12 @@
 //! Pipelining trades per-frame latency *up* for throughput, so every cell
 //! reports p50 **and** p99 (COLA's tail-latency caveat), never throughput
 //! alone. Every concurrent cell additionally reports per-stage
-//! **occupancy** (compute ÷ wall for sensing, perception, and planning;
-//! drive cells sum the compute of the ledger's stage samples) so an idle
-//! stage is visible instead of averaged away — and, via the latency
-//! ledger, the **attribution split** of every frame's span into compute,
-//! ring-queue wait, and drain/barrier stall, each at p50/p99/p99.9/max.
+//! **occupancy** (compute ÷ wall for sensing, perception, and planning,
+//! summed over the stage samples of the ledger or the replay run) so an
+//! idle stage is visible instead of averaged away — and, via the latency
+//! ledger, the **attribution split** into compute, ring-queue wait, and
+//! sequencer stall, each at p50/p99/p99.9/max: per control frame for
+//! drives, per frame summed over its three stage samples for replays.
 //!
 //! A fourth view, the **tail cells**, runs the depth-3 drive under a
 //! sustained compute overrun with the deadline-driven tail policy off,
@@ -48,7 +49,7 @@ use sov_core::tail::TailReport;
 use sov_fault::{FaultKind, FaultPlan};
 use sov_math::stats::Summary;
 use sov_runtime::ledger::{TailPolicy, SENSING};
-use sov_runtime::pipeline::{FrameControl, FramePipeline, PipelineRun, Placement, StageCtx};
+use sov_runtime::pipeline::{FramePipeline, PipelineRun, Placement};
 use sov_runtime::pool::WorkerPool;
 use sov_runtime::PerfContext;
 use sov_sim::time::SimTime;
@@ -114,24 +115,23 @@ fn run_replay_cell(stages: &[[f64; 3]], depth: usize, workers: usize) -> (Pipeli
     let pool = (workers > 0).then(|| WorkerPool::new(workers));
     let pipeline = FramePipeline::new(depth);
     let mut checksum = 0u64;
+    let mut prev: Option<u64> = None;
     let run = pipeline.run(
         pool.as_ref(),
         stages.len() as u64,
-        |k: u64, _ctx: StageCtx<'_, u64>| {
+        |k| {
             sleep_ms(stages[k as usize][0]);
             mix(0x5E45, k)
         },
-        |k: u64, s: &u64, _ctx: StageCtx<'_, u64>| {
+        |k, s| {
             sleep_ms(stages[k as usize][1]);
-            mix(*s, k ^ 0x5045_5243)
+            mix(s, k ^ 0x5045_5243)
         },
-        |k: u64, p: &u64, prev: Option<&u64>| {
+        |k, p| {
             sleep_ms(stages[k as usize][2]);
-            mix(*p ^ prev.copied().unwrap_or(0x504C414E), k)
-        },
-        |_k: u64, o: &u64| {
-            checksum = mix(checksum, *o);
-            FrameControl::Continue
+            let o = mix(p ^ prev.unwrap_or(0x504C414E), k);
+            prev = Some(o);
+            checksum = mix(checksum, o);
         },
     );
     (run, checksum)
@@ -183,18 +183,23 @@ fn quad_json(q: [f64; 4]) -> String {
     )
 }
 
-/// The compute/queue/stall split of a replay run's frame attributions,
-/// in milliseconds at the four tail points.
+/// The compute/queue/stall split of a replay run, each frame's three
+/// stage samples summed, in milliseconds at the four tail points.
 fn replay_split(run: &PipelineRun) -> [[f64; 4]; 3] {
-    let mut compute = Summary::new();
-    let mut queue = Summary::new();
-    let mut stall = Summary::new();
-    for a in &run.attribution {
-        compute.record(a.compute_ns.iter().sum::<u64>() as f64 / 1e6);
-        queue.record(a.queue_ns as f64 / 1e6);
-        stall.record(a.stall_ns as f64 / 1e6);
+    let mut per_frame = vec![[0u64; 3]; run.frames as usize];
+    for s in &run.samples {
+        let sums = &mut per_frame[s.frame as usize];
+        for (sum, ns) in sums.iter_mut().zip([s.compute_ns, s.queue_ns, s.stall_ns]) {
+            *sum += ns;
+        }
     }
-    [quad(&mut compute), quad(&mut queue), quad(&mut stall)]
+    let mut split = [Summary::new(), Summary::new(), Summary::new()];
+    for sums in &per_frame {
+        for (summary, ns) in split.iter_mut().zip(sums) {
+            summary.record(*ns as f64 / 1e6);
+        }
+    }
+    split.each_mut().map(quad)
 }
 
 /// The same four-point split lifted out of a drive's [`TailReport`],

@@ -72,12 +72,15 @@ pub enum DriveOutcome {
 pub enum SovError {
     /// `max_frames` was zero.
     NoFrames,
+    /// The configured MPC horizon (`VehicleConfig::mpc.horizon`) was zero.
+    ZeroHorizon,
 }
 
 impl fmt::Display for SovError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::NoFrames => write!(f, "drive requires at least one frame"),
+            Self::ZeroHorizon => write!(f, "MPC horizon must be at least one step"),
         }
     }
 }
@@ -270,7 +273,7 @@ impl Sov {
     ///
     /// # Errors
     ///
-    /// Returns [`SovError::NoFrames`] if `max_frames == 0`.
+    /// As [`Sov::drive_with_plan`].
     pub fn drive(&mut self, scenario: &Scenario, max_frames: u64) -> Result<DriveReport, SovError> {
         self.drive_with_plan(scenario, max_frames, &FaultPlan::nominal())
     }
@@ -284,7 +287,8 @@ impl Sov {
     ///
     /// # Errors
     ///
-    /// Returns [`SovError::NoFrames`] if `max_frames == 0`.
+    /// Returns [`SovError::NoFrames`] if `max_frames == 0`, and
+    /// [`SovError::ZeroHorizon`] if the configured MPC horizon is zero.
     ///
     /// # Pipelining
     ///
@@ -305,6 +309,9 @@ impl Sov {
     ) -> Result<DriveReport, SovError> {
         if max_frames == 0 {
             return Err(SovError::NoFrames);
+        }
+        if self.rig.config.mpc.horizon == 0 {
+            return Err(SovError::ZeroHorizon);
         }
         let Sov {
             planner,
@@ -1119,6 +1126,15 @@ mod tests {
         let scenario = Scenario::fishers_indiana(1);
         let mut sov = Sov::new(VehicleConfig::perceptin_pod(), 1);
         assert_eq!(sov.drive(&scenario, 0).unwrap_err(), SovError::NoFrames);
+    }
+
+    #[test]
+    fn rejects_a_zero_mpc_horizon() {
+        let scenario = Scenario::fishers_indiana(1);
+        let mut config = VehicleConfig::perceptin_pod();
+        config.mpc.horizon = 0;
+        let mut sov = Sov::new(config, 1);
+        assert_eq!(sov.drive(&scenario, 10).unwrap_err(), SovError::ZeroHorizon);
     }
 
     #[test]

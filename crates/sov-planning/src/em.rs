@@ -276,6 +276,7 @@ impl Planner for EmPlanner {
 mod tests {
     use super::*;
     use crate::collision::is_safe;
+    use crate::mpc::MpcConfig;
     use crate::PlanningObstacle;
 
     fn static_obstacle(station: f64, lateral: f64) -> PlanningObstacle {
@@ -352,11 +353,12 @@ mod tests {
     #[test]
     fn em_does_more_work_than_mpc() {
         // Structural check of the 33× claim's origin: the EM planner touches
-        // far more optimization variables per cycle.
+        // far more optimization variables per cycle. Both speed QPs are
+        // `SpeedQp`s, whose iterations touch a 3-wide band per knot.
         let em = EmConfig::default();
         let em_work = em.num_stations * em.num_laterals * em.num_laterals
-            + em.refinement_iters * em.speed_knots * em.speed_knots;
-        let mpc_work = 20 * 20; // MPC horizon QP
+            + em.refinement_iters * em.speed_knots * 3;
+        let mpc_work = MpcConfig::default().horizon * 3;
         assert!(em_work > 20 * mpc_work, "EM {em_work} vs MPC {mpc_work}");
     }
 }

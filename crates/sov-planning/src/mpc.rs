@@ -198,8 +198,10 @@ impl Planner for MpcPlanner {
             Err(_) => &self.refs,
         };
 
-        // First-step command.
-        let accel = ((speeds[0] - input.speed_mps) / cfg.dt_s).clamp(-cfg.max_decel, cfg.max_accel);
+        // First-step command; a zero horizon plans no step and holds speed.
+        let accel = speeds.first().map_or(0.0, |v| {
+            ((v - input.speed_mps) / cfg.dt_s).clamp(-cfg.max_decel, cfg.max_accel)
+        });
         let yaw_rate = (cfg.k_lateral * (target_l - input.lateral_offset_m)
             - cfg.k_heading * input.heading_error_rad)
             .clamp(-0.6, 0.6);
@@ -283,6 +285,18 @@ mod tests {
             "throttle {}",
             plan.command.throttle_mps2
         );
+    }
+
+    #[test]
+    fn zero_horizon_commands_zero_acceleration() {
+        let mut p = MpcPlanner::new(MpcConfig {
+            horizon: 0,
+            ..MpcConfig::default()
+        });
+        let plan = p.plan(&PlanningInput::cruising(5.6, 5.6));
+        assert_eq!(plan.command.throttle_mps2, 0.0);
+        assert_eq!(plan.command.brake_mps2, 0.0);
+        assert_eq!(plan.trajectory.len(), 1, "only the start point");
     }
 
     #[test]

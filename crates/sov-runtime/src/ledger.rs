@@ -194,66 +194,6 @@ impl TailPolicy {
     }
 }
 
-/// Per-frame attribution of a [`crate::pipeline::FramePipeline`] replay
-/// frame: per-stage compute plus the frame's aggregate queue and stall
-/// components, summing exactly to the measured sense-start→commit span.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FrameAttribution {
-    /// Frame index.
-    pub frame: u64,
-    /// Compute time per stage (sense, perceive, plan+commit), ns.
-    pub compute_ns: [u64; STAGES],
-    /// Inter-stage ring-queue wait, ns.
-    pub queue_ns: u64,
-    /// Commit-thread blocked wait, ns.
-    pub stall_ns: u64,
-    /// Directly measured sense-start→commit-end span, ns.
-    pub total_ns: u64,
-}
-
-impl FrameAttribution {
-    /// Builds the attribution from the stage stamps: `a0..a1` sense,
-    /// `b0..b1` perceive, `c0..c1` plan+commit, with `t_r` the commit
-    /// thread's pre-`recv` stamp (stall measurement).
-    #[allow(clippy::too_many_arguments, clippy::similar_names)]
-    #[must_use]
-    pub fn from_stamps(
-        frame: u64,
-        a0: Instant,
-        a1: Instant,
-        b0: Instant,
-        b1: Instant,
-        t_r: Instant,
-        c0: Instant,
-        c1: Instant,
-    ) -> Self {
-        let ns = |d: std::time::Duration| d.as_nanos() as u64;
-        let compute = [
-            ns(a1.saturating_duration_since(a0)),
-            ns(b1.saturating_duration_since(b0)),
-            ns(c1.saturating_duration_since(c0)),
-        ];
-        let q_sense = ns(b0.saturating_duration_since(a1));
-        let done_wait = ns(c0.saturating_duration_since(b1));
-        let stall_ns = ns(c0.saturating_duration_since(if t_r > b1 { t_r } else { b1 }));
-        let stall_ns = stall_ns.min(done_wait);
-        Self {
-            frame,
-            compute_ns: compute,
-            queue_ns: q_sense + (done_wait - stall_ns),
-            stall_ns,
-            total_ns: ns(c1.saturating_duration_since(a0)),
-        }
-    }
-
-    /// Span-vs-components audit, as in [`StageSample::residual_ns`].
-    #[must_use]
-    pub fn residual_ns(&self) -> u64 {
-        let sum = self.compute_ns.iter().sum::<u64>() + self.queue_ns + self.stall_ns;
-        self.total_ns.abs_diff(sum)
-    }
-}
-
 /// Event counters accumulated by a [`LatencyLedger`] over one drive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LedgerCounters {
@@ -394,20 +334,6 @@ mod tests {
         let f = FrameSample::from_stage(&s, false);
         assert_eq!(f.total_ns, s.span_ns);
         assert_eq!(f.residual_ns(), 0);
-    }
-
-    #[test]
-    fn frame_attribution_decomposition_is_exact() {
-        let base = Instant::now();
-        let [a0, a1, b0, b1, t_r, c0, c1] =
-            [0u64, 50, 80, 200, 150, 260, 400].map(|us| base + Duration::from_micros(us));
-        let attr = FrameAttribution::from_stamps(5, a0, a1, b0, b1, t_r, c0, c1);
-        assert_eq!(attr.compute_ns, [50_000, 120_000, 140_000]);
-        // done-wait 60 µs, blocked since before b1 → all stall.
-        assert_eq!(attr.stall_ns, 60_000);
-        assert_eq!(attr.queue_ns, 30_000);
-        assert_eq!(attr.total_ns, 400_000);
-        assert_eq!(attr.residual_ns(), 0);
     }
 
     #[test]

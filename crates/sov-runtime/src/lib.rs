@@ -5,11 +5,12 @@
 //! The paper's LiDAR case study shows that the real bottleneck of the
 //! perception stack is *within* a frame: irregular point-cloud kernels and
 //! image processing dominated by memory traffic and redundant data
-//! movement. [`pipeline::FramePipeline`] overlaps whole stages across
-//! frames (sensing → perception → planning on pool lanes joined by the
-//! bounded SPSC rings of [`queue`]), and [`pipeline::StageNode`] lets a
-//! sequencer with its own event loop run each stage inline or on a lane
-//! with one program for every placement; the rest of this crate supplies
+//! movement. Across frames, [`pipeline::StageNode`] is the one lane
+//! protocol: a sequencer runs each stage inline or on a pool lane behind
+//! the bounded SPSC rings of [`queue`], with one program for every
+//! placement. Two sequencers use it: `Sov::drive_with_plan` and
+//! [`pipeline::FramePipeline`], which overlaps sensing → perception →
+//! planning over frame indices (Fig. 5). The rest of this crate supplies
 //! the complementary layer — data parallelism *inside* each stage — plus the
 //! allocation discipline that makes a steady-state control tick free of
 //! heap traffic:
@@ -53,9 +54,9 @@ pub struct PerfContext {
     pub pool: Option<Arc<pool::WorkerPool>>,
     /// Reusable per-frame scratch buffers.
     pub arena: arena::FrameArena,
-    /// Inter-frame pipeline depth for `Sov::drive_with_plan` and
-    /// [`pipeline::FramePipeline`]: `0` or `1` keeps today's serial frame
-    /// schedule; `d > 1` overlaps up to `d` in-flight frames across the
+    /// Inter-frame pipeline depth for `Sov::drive_with_plan`: `0` or `1`
+    /// keeps today's serial frame schedule; `d > 1` overlaps up to `d`
+    /// in-flight frames per stage node across the
     /// sensing/perception/planning stages. Requires a pool with at least
     /// three lanes to take effect (it silently — and bit-identically —
     /// falls back to serial otherwise); see

@@ -2,60 +2,16 @@
 //! perception, and planning across *successive frames*.
 //!
 //! The paper's Fig. 5 analysis serializes sensing → perception → planning
-//! on each frame's critical path; [`FramePipeline`] keeps that per-frame
-//! latency (Eq. 1) untouched while lifting *throughput* toward the
-//! reciprocal of the slowest stage: while frame `N` is in planning, frame
-//! `N + 1` is in perception and frame `N + 2` in sensing, each on a
-//! dedicated lane of the [`WorkerPool`](crate::pool::WorkerPool) connected
-//! by bounded SPSC rings ([`crate::queue`]).
-//!
-//! # Determinism
-//!
-//! Pipelining changes only *when* (in wall-clock time) each frame's stages
-//! execute — never their inputs:
-//!
-//! * Every ring is FIFO, so each stage processes frames `0, 1, 2, …` in
-//!   exactly serial order; stateful stage closures therefore observe the
-//!   serial state sequence.
-//! * `sense(k)` and `perceive(k)` depend only on the frame index `k` (plus
-//!   capacity-only scratch, below); `plan(k)` additionally sees the
-//!   *committed* output of frame `k − 1` — and the commit stage runs on
-//!   the calling thread in frame order, so that feedback edge is the
-//!   serial one by construction.
-//!
-//! The dataflow graph is thus identical for every pipeline depth and
-//! worker count, and frame outputs are **byte-identical** to the serial
-//! schedule (depth 1). The proptests in this module and the drive-level
-//! tests in `sov-core` assert exactly that.
-//!
-//! # Allocation discipline
-//!
-//! Each lane owns a private [`FrameArena`] and every stage product
-//! circulates back to its producer over a return ring: the
-//! [`StageCtx::recycled`] value handed to `sense`/`perceive` is the
-//! carcass of an earlier frame's product, to be overwritten in place. At
-//! most `depth + 2` products per stage ever exist, so the steady state
-//! allocates nothing. The contract mirrors [`FrameArena`]: recycled values
-//! are **capacity-only scratch** — their contents must never influence a
-//! stage's output (the depth-1 schedule hands back different carcasses
-//! than depth 4, and outputs must still match bit for bit).
-//!
-//! # Back-pressure and drain
-//!
-//! Rings are bounded by the configured depth, so a slow stage stalls its
-//! producer rather than queueing unboundedly. When the commit stage
-//! returns [`FrameControl::Drain`] (e.g. the health monitor left
-//! `Nominal`), the sensing lane stops admitting new frames, every frame
-//! already in flight commits **in order**, and the remaining frames run
-//! serially on the calling thread — degraded operation falls back to the
-//! serial schedule instead of reordering frames.
+//! on each frame's critical path. Pipelining keeps that per-frame latency
+//! (Eq. 1) while lifting *throughput* toward the reciprocal of the slowest
+//! stage: while frame `N` is in planning, frame `N + 1` is in perception
+//! and frame `N + 2` in sensing.
 //!
 //! # Stage nodes
 //!
-//! A sequencer that owns its own event loop (`Sov::drive_with_plan`)
-//! builds one [`StageNode`] per stage instead: a stateful stage closure
-//! run inline at [`dispatch`](StageNode::dispatch) or on a pool lane
-//! behind a job ring and a done ring of `depth` slots each, per its
+//! The runtime has one lane protocol, the [`StageNode`]: a stateful stage
+//! closure run inline at [`dispatch`](StageNode::dispatch) or on a pool
+//! lane behind a job ring and a done ring of `depth` slots each, per its
 //! [`Placement`]. [`take`](StageNode::take) returns results in dispatch
 //! order either way and records their ledger samples, so one sequencer
 //! program serves every mapping of stages to lanes; serial is the mapping
@@ -63,69 +19,49 @@
 //! `depth` jobs are out `dispatch` first *parks* the oldest result on the
 //! sequencer side: the sequencer never blocks on a send, and every
 //! blocking receive waits on a lane that is computing.
+//!
+//! Two sequencers drive nodes: `Sov::drive_with_plan` (front-end,
+//! detector and planner, paced by the simulated event loop) and
+//! [`FramePipeline::run`] (sense, perceive and plan over frame indices,
+//! the Fig. 5 replay).
+//!
+//! # Determinism
+//!
+//! A node runs its jobs in dispatch order on every placement, and both
+//! sequencers dispatch each stage's frames in frame order. A stateful
+//! stage closure therefore observes the serial sequence of inputs
+//! whatever the mapping, and outputs are **byte-identical** to the serial
+//! schedule. The tests in this module and the drive-level tests in
+//! `sov-core` assert exactly that.
 
-use crate::arena::FrameArena;
-use crate::ledger::{FrameAttribution, LatencyLedger, StageSample};
+use crate::ledger::{LatencyLedger, StageSample, PERCEPTION, PLANNING, SENSING};
 use crate::pool::WorkerPool;
 use crate::queue::{ring, RingReceiver, RingSender};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
-
-/// Per-frame scratch handed to a pipeline stage.
-///
-/// Both fields are capacity-only: the stage must produce the same output
-/// whether `recycled` is `None` (warm-up, serial fallback) or holds any
-/// earlier frame's carcass, and whatever the arena hands out.
-pub struct StageCtx<'a, T> {
-    /// The stage lane's private arena for auxiliary scratch buffers.
-    pub arena: &'a FrameArena,
-    /// An earlier frame's product from this same stage, returned for
-    /// in-place reuse; `None` during warm-up and after a drain.
-    pub recycled: Option<T>,
-}
-
-/// Verdict returned by the commit stage for each frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrameControl {
-    /// Keep the pipeline full.
-    Continue,
-    /// Stop admitting new frames, commit everything in flight in order,
-    /// then run the remaining frames serially (degradation fallback).
-    Drain,
-}
 
 /// Telemetry from one [`FramePipeline::run`].
 #[derive(Debug)]
 pub struct PipelineRun {
-    /// Frames committed (always equals the requested frame count).
+    /// Frames planned (always equals the requested frame count).
     pub frames: u64,
-    /// Frames that flowed through the concurrent (pipelined) path; the
-    /// rest ran on the serial fallback.
-    pub pipelined_frames: u64,
-    /// Whether the commit stage ever requested a drain.
-    pub drained: bool,
+    /// Where sensing and perception ran: on lanes, overlapping frames, or
+    /// inline on the calling thread, the serial schedule.
+    pub placement: Placement,
     /// Wall-clock time for the whole run.
     pub wall: Duration,
-    /// Per-frame sense-start → commit latency, in frame order. Pipelining
+    /// Per-frame sense-start → plan-end latency, in frame order. Pipelining
     /// trades this *up* for throughput — report p99, not just p50 (COLA's
     /// tail-latency caveat).
     pub latencies: Vec<Duration>,
-    /// Per-frame latency attribution, in frame order: per-stage compute
-    /// plus ring-queue wait and commit-thread stall, summing exactly to
-    /// each frame's measured sense-start → commit-end span (the COLA
-    /// accounting — see [`FrameAttribution`]). Serial-path frames have
-    /// zero queue and stall by construction.
-    pub attribution: Vec<FrameAttribution>,
-    /// `true` when a depth > 1 was requested but the run executed on the
-    /// bit-identical serial fallback (no pool, or fewer than three
-    /// lanes) — piped mode without workers must not pay ring overhead,
-    /// and benches must not present fallback numbers as pipelined ones.
-    pub serial_fallback: bool,
+    /// The ledger samples the run's nodes recorded, one per stage and
+    /// frame, in take order: each stage's compute, ring-queue wait and
+    /// sequencer stall (the COLA split; see [`StageSample`]).
+    pub samples: Vec<StageSample>,
 }
 
 impl PipelineRun {
-    /// Committed frames per wall-clock second.
+    /// Planned frames per wall-clock second.
     #[must_use]
     pub fn throughput_fps(&self) -> f64 {
         let secs = self.wall.as_secs_f64();
@@ -135,18 +71,23 @@ impl PipelineRun {
         self.frames as f64 / secs
     }
 
-    /// Occupancy of `stage` (0 = sense, 1 = perceive, 2 = plan+commit):
-    /// its compute time summed over [`attribution`](Self::attribution) —
-    /// busy time only, ring waits excluded — over the run's wall time,
-    /// `0.0` for an empty run. The bottleneck stage's occupancy should
-    /// approach 1 once the pipeline is full (Fig. 5's throughput argument).
+    /// Occupancy of `stage` ([`SENSING`], [`PERCEPTION`] or [`PLANNING`]):
+    /// the compute time of its [`samples`](Self::samples) — busy time only,
+    /// ring waits excluded — over the run's wall time, `0.0` for an empty
+    /// run. The bottleneck stage's occupancy should approach 1 once the
+    /// pipeline is full (Fig. 5's throughput argument).
     #[must_use]
     pub fn occupancy(&self, stage: usize) -> f64 {
         let wall = self.wall.as_secs_f64();
         if wall <= 0.0 {
             return 0.0;
         }
-        let busy_ns: u64 = self.attribution.iter().map(|a| a.compute_ns[stage]).sum();
+        let busy_ns: u64 = self
+            .samples
+            .iter()
+            .filter(|s| s.stage == stage)
+            .map(|s| s.compute_ns)
+            .sum();
         Duration::from_nanos(busy_ns).as_secs_f64() / wall
     }
 
@@ -164,19 +105,21 @@ impl PipelineRun {
     }
 }
 
-/// A deterministic three-stage inter-frame pipeline executor.
+/// A deterministic three-stage inter-frame pipeline: sensing and
+/// perception as [`StageNode`]s, planning inline on the calling thread.
 ///
-/// Depth 1 *is* the serial schedule; any depth with fewer than three pool
-/// lanes falls back to it. Both paths execute the identical closure
-/// sequence per frame, so outputs match bit for bit (module docs).
+/// Depth 1 *is* the serial schedule, and so is any depth with fewer than
+/// three pool lanes: both run every node inline. Every mapping executes
+/// the same closure sequence per stage, so outputs match bit for bit
+/// (module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FramePipeline {
     depth: usize,
 }
 
 impl FramePipeline {
-    /// Creates a pipeline executor with the given depth (ring capacity
-    /// between adjacent stages).
+    /// Creates a pipeline with the given depth: the most frames perception
+    /// holds at once, queued, running or awaiting their plan.
     ///
     /// # Panics
     ///
@@ -193,229 +136,170 @@ impl FramePipeline {
         self.depth
     }
 
-    /// Runs `frames` frames through sense → perceive → plan → commit.
+    /// Runs `frames` frames through sense → perceive → plan.
     ///
-    /// * `sense(k, ctx)` produces frame `k`'s sensor product from the
-    ///   frame index alone (sensing lane).
-    /// * `perceive(k, &s, ctx)` consumes it (perception lane).
-    /// * `plan(k, &p, prev)` sees the perception product and the
-    ///   *committed* output of frame `k − 1` (calling thread).
-    /// * `commit(k, &o)` publishes the output and steers the pipeline
-    ///   (calling thread — this is the sequencing stage).
+    /// * `sense(k)` produces frame `k`'s sensor product from the frame
+    ///   index alone.
+    /// * `perceive(k, s)` consumes it.
+    /// * `plan(k, p)` consumes the perception product on the calling
+    ///   thread, in frame order; state carried from frame to frame (the
+    ///   feedback edge) lives in the closure.
     ///
-    /// Requires `pool` with ≥ 3 lanes and depth > 1 to actually overlap;
-    /// otherwise every frame runs on the bit-identical serial fallback.
+    /// Sensing and perception run on lanes when the depth is above 1 and
+    /// `pool` has at least three lanes; otherwise every stage runs inline,
+    /// the serial schedule.
     ///
     /// # Panics
     ///
-    /// A panic in any stage reaches the caller: on the pipelined path the
-    /// failing stage's rings close, the other lanes drain and exit, and
-    /// the panic is re-raised here, leaving the pool usable.
-    pub fn run<S, P, O, FS, FP, FL, FC>(
+    /// A panic in any stage reaches the caller: the sequencer's nodes
+    /// close their rings as it unwinds, the lanes exit, and the panic is
+    /// re-raised here, leaving the pool usable.
+    pub fn run<S, P, FS, FP, FL>(
         &self,
         pool: Option<&WorkerPool>,
         frames: u64,
         mut sense: FS,
         mut perceive: FP,
         mut plan: FL,
-        mut commit: FC,
     ) -> PipelineRun
     where
         S: Send,
         P: Send,
-        FS: FnMut(u64, StageCtx<'_, S>) -> S + Send,
-        FP: FnMut(u64, &S, StageCtx<'_, P>) -> P + Send,
-        FL: FnMut(u64, &P, Option<&O>) -> O,
-        FC: FnMut(u64, &O) -> FrameControl,
+        FS: FnMut(u64) -> S + Send,
+        FP: FnMut(u64, S) -> P + Send,
+        FL: FnMut(u64, P) + Send,
     {
         let started = Instant::now();
-        let depth = self.depth;
-        let pipelined = depth > 1 && frames > 0 && pool.is_some_and(|p| p.lanes() >= 3);
-        let mut latencies: Vec<Duration> = Vec::with_capacity(frames as usize);
-        let mut attribution: Vec<FrameAttribution> = Vec::with_capacity(frames as usize);
-        let mut committed: u64 = 0;
-        let mut pipelined_frames: u64 = 0;
-        let mut drained = false;
-        let mut prev: Option<O> = None;
-
-        if pipelined {
-            let pool = pool.expect("pipelined implies a pool");
-            let stop = AtomicBool::new(false);
-            // Forward rings bound the in-flight depth (back-pressure);
-            // return rings circulate product carcasses back to their
-            // producer. At most `depth + 2` products per stage ever exist,
-            // so capacity `depth + 2` means return sends never block.
-            // Forward payloads carry the frame's stage stamps so the
-            // sequencing stage can attribute the full span: the sensing
-            // ring adds (sense-start, sense-end); the perception ring
-            // extends that to [a0, a1, b0, b1] (perceive-start/-end).
-            let (s_tx, s_rx) = ring::<(u64, S, Instant, Instant)>(depth);
-            let (s_ret_tx, s_ret_rx) = ring::<S>(depth + 2);
-            let (p_tx, p_rx) = ring::<(u64, P, [Instant; 4])>(depth);
-            let (p_ret_tx, p_ret_rx) = ring::<P>(depth + 2);
-            let sense = &mut sense;
-            let perceive = &mut perceive;
-            let stop_ref = &stop;
-
-            let (c, d, p_out) = pool.run_lanes(
-                vec![
-                    // Sensing lane: admits frames in order until told to
-                    // drain. After priming `depth + 2` products it blocks
-                    // on the return ring — the carcass of frame
-                    // `k - depth - 2` is guaranteed to arrive because the
-                    // downstream stages always make progress.
-                    Box::new(move || {
-                        let arena = FrameArena::new();
-                        for k in 0..frames {
-                            if stop_ref.load(Ordering::Acquire) {
-                                break;
-                            }
-                            let recycled = if k >= depth as u64 + 2 {
-                                match s_ret_rx.recv() {
-                                    Some(s) => Some(s),
-                                    None => break, // peer lane gone
-                                }
-                            } else {
-                                s_ret_rx.try_recv()
-                            };
-                            let a0 = Instant::now();
-                            let s = sense(
-                                k,
-                                StageCtx {
-                                    arena: &arena,
-                                    recycled,
-                                },
-                            );
-                            let a1 = Instant::now();
-                            if s_tx.send((k, s, a0, a1)).is_err() {
-                                break;
-                            }
-                        }
-                    }),
-                    // Perception lane: strictly FIFO over the sensing ring.
-                    Box::new(move || {
-                        let arena = FrameArena::new();
-                        let mut consumed: u64 = 0;
-                        while let Some((k, s, a0, a1)) = s_rx.recv() {
-                            let recycled = if consumed >= depth as u64 + 2 {
-                                match p_ret_rx.recv() {
-                                    Some(p) => Some(p),
-                                    None => break,
-                                }
-                            } else {
-                                p_ret_rx.try_recv()
-                            };
-                            let b0 = Instant::now();
-                            let p = perceive(
-                                k,
-                                &s,
-                                StageCtx {
-                                    arena: &arena,
-                                    recycled,
-                                },
-                            );
-                            let b1 = Instant::now();
-                            let _ = s_ret_tx.send(s);
-                            if p_tx.send((k, p, [a0, a1, b0, b1])).is_err() {
-                                break;
-                            }
-                            consumed += 1;
-                        }
-                    }),
-                ],
-                // Plan + commit on the calling thread: the sequencing
-                // stage. Frames commit in FIFO (= serial) order, and each
-                // plan sees the committed output of the previous frame.
-                || {
-                    // Own the ring endpoints, so a `plan`/`commit` panic
-                    // drops them while unwinding: the closed rings release
-                    // the lanes, and `run_lanes` re-raises the panic
-                    // instead of waiting on a lane blocked in `send`.
-                    let (p_rx, p_ret_tx) = (p_rx, p_ret_tx);
-                    let mut committed: u64 = 0;
-                    let mut drained = false;
-                    let mut prev: Option<O> = None;
-                    loop {
-                        // Pre-recv stamp: time spent blocked here past the
-                        // frame's perceive-end is attributed as stall, the
-                        // earlier ring residency as queue wait.
-                        let t_r = Instant::now();
-                        let Some((k, p, st)) = p_rx.recv() else { break };
-                        let c0 = Instant::now();
-                        let o = plan(k, &p, prev.as_ref());
-                        let _ = p_ret_tx.send(p);
-                        latencies.push(st[0].elapsed());
-                        let verdict = commit(k, &o);
-                        let c1 = Instant::now();
-                        attribution.push(FrameAttribution::from_stamps(
-                            k, st[0], st[1], st[2], st[3], t_r, c0, c1,
-                        ));
-                        prev = Some(o);
-                        committed += 1;
-                        if verdict == FrameControl::Drain && !drained {
-                            drained = true;
-                            stop.store(true, Ordering::Release);
-                        }
-                    }
-                    (committed, drained, prev)
-                },
-            );
-            committed = c;
-            pipelined_frames = c;
-            drained = d;
-            prev = p_out;
-        }
-
-        // Serial path: all frames when not pipelined, or the post-drain
-        // tail. Identical closure sequence per frame → bit-identical.
-        let s_arena = FrameArena::new();
-        let p_arena = FrameArena::new();
-        let mut s_prev: Option<S> = None;
-        let mut p_prev: Option<P> = None;
-        for k in committed..frames {
-            let t0 = Instant::now();
-            let s = sense(
-                k,
-                StageCtx {
-                    arena: &s_arena,
-                    recycled: s_prev.take(),
-                },
-            );
-            let t1 = Instant::now();
-            let p = perceive(
-                k,
-                &s,
-                StageCtx {
-                    arena: &p_arena,
-                    recycled: p_prev.take(),
-                },
-            );
-            let t2 = Instant::now();
-            s_prev = Some(s);
-            let o = plan(k, &p, prev.as_ref());
-            p_prev = Some(p);
-            latencies.push(t0.elapsed());
-            if commit(k, &o) == FrameControl::Drain {
-                drained = true;
-            }
-            let t3 = Instant::now();
-            // Degenerate stamps: stages abut, so queue and stall collapse
-            // to zero and the components sum to the span exactly.
-            attribution.push(FrameAttribution::from_stamps(k, t0, t1, t1, t2, t2, t2, t3));
-            prev = Some(o);
-        }
-
-        // The fallback loop above always finishes the remaining
-        // `committed..frames` range, so every requested frame committed.
+        let (placement, depth) = if self.depth > 1 && pool.is_some_and(|p| p.lanes() >= 3) {
+            (Placement::Lane, self.depth)
+        } else {
+            (Placement::Inline, 1)
+        };
+        let ledger = LatencyLedger::default();
+        // A frame's latency runs from the start of its sensing, stamped
+        // where sensing runs, to the end of its plan.
+        let (sense, sense_lane) = StageNode::new(SENSING, placement, depth, &ledger, move |k| {
+            (Instant::now(), sense(k))
+        });
+        let (perceive, perceive_lane) =
+            StageNode::new(PERCEPTION, placement, depth, &ledger, move |(k, t0, s)| {
+                (t0, perceive(k, s))
+            });
+        let (plan, _) = StageNode::new(PLANNING, Placement::Inline, 1, &ledger, move |(k, p)| {
+            plan(k, p);
+        });
+        let sequencer = Sequencer {
+            sense,
+            perceive,
+            plan,
+            depth: depth as u64,
+            frames,
+            sensed: 0,
+            forwarded: 0,
+            planned: 0,
+            latencies: Vec::with_capacity(frames as usize),
+        };
+        let lanes: Vec<LaneBody<'_>> = [sense_lane, perceive_lane].into_iter().flatten().collect();
+        let latencies = match pool {
+            Some(pool) => pool.run_lanes(lanes, move || sequencer.run()),
+            None => sequencer.run(),
+        };
         PipelineRun {
             frames,
-            pipelined_frames,
-            drained,
+            placement,
             wall: started.elapsed(),
             latencies,
-            attribution,
-            serial_fallback: depth > 1 && frames > 0 && !pipelined,
+            samples: ledger.with_samples(|stages, _| stages.to_vec()),
         }
+    }
+}
+
+/// [`FramePipeline::run`]'s sequencer: keeps one frame in sensing,
+/// forwards each sensing result to perception (up to `depth` frames
+/// there), and plans in frame order.
+struct Sequencer<'env, S, P> {
+    sense: StageNode<'env, u64, (Instant, S)>,
+    perceive: StageNode<'env, (u64, Instant, S), (Instant, P)>,
+    plan: StageNode<'env, (u64, P), ()>,
+    depth: u64,
+    frames: u64,
+    /// Frames dispatched to sensing.
+    sensed: u64,
+    /// Frames forwarded to perception.
+    forwarded: u64,
+    /// Frames planned.
+    planned: u64,
+    latencies: Vec<Duration>,
+}
+
+impl<'env, S: Send + 'env, P: Send + 'env> Sequencer<'env, S, P> {
+    /// Runs every frame and returns the latencies. With every node inline
+    /// each step finds its result ready, so the loop runs sense, perceive
+    /// and plan of one frame before the next frame's sensing: the serial
+    /// schedule.
+    fn run(mut self) -> Vec<Duration> {
+        self.top_up();
+        while self.planned < self.frames {
+            // While perception holds at most one frame, wait for sensing:
+            // its result is forwarded the moment it is done, so perception
+            // never idles behind the sequencer and sensing never runs ahead
+            // of it. The price is that a long sensing frame `k + 1` holds
+            // up the plan of frame `k`. Otherwise wait for the oldest
+            // perception result.
+            let waited = if self.forwarded < self.sensed && self.forwarded - self.planned <= 1 {
+                self.forward(true)
+            } else {
+                self.plan_next(true)
+            };
+            debug_assert!(waited, "a blocking take always has a frame to wait for");
+            // Then whatever else is done, feeding perception first.
+            while self.forward(false) || self.plan_next(false) {}
+            self.top_up();
+        }
+        self.latencies
+    }
+
+    /// Starts the next frame's sensing once the last one is forwarded.
+    fn top_up(&mut self) {
+        if self.sensed < self.frames && self.sensed == self.forwarded {
+            self.sense.dispatch(self.sensed, self.sensed);
+            self.sensed += 1;
+        }
+    }
+
+    /// Forwards the oldest sensing result to perception, unless perception
+    /// already holds `depth` frames; `false` when nothing was forwarded.
+    fn forward(&mut self, block: bool) -> bool {
+        if self.forwarded - self.planned == self.depth {
+            return false;
+        }
+        let Some(((t0, s), _)) = self.sense.take(block) else {
+            return false;
+        };
+        let k = self.forwarded;
+        self.perceive.dispatch(k, (k, t0, s));
+        self.forwarded += 1;
+        // While an older frame awaits its plan, start the next sensing now
+        // so that plan cannot hold up the sensing lane. Otherwise this
+        // frame's plan comes first: inline it is already due, and planning
+        // it before the next sensing is the serial order.
+        if k > self.planned {
+            self.top_up();
+        }
+        true
+    }
+
+    /// Plans the oldest perception result; `false` when none was taken.
+    fn plan_next(&mut self, block: bool) -> bool {
+        let Some(((t0, p), _)) = self.perceive.take(block) else {
+            return false;
+        };
+        let k = self.planned;
+        self.plan.dispatch(k, (k, p));
+        self.plan.take(true);
+        self.latencies.push(t0.elapsed());
+        self.planned += 1;
+        true
     }
 }
 
@@ -591,144 +475,73 @@ impl<'env, In: Send + 'env, Out: Send + 'env> StageNode<'env, In, Out> {
 mod tests {
     use super::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{mpsc, Arc};
 
-    /// Deterministic workload exercising all four stages: `sense` fills a
-    /// buffer from `k`, `perceive` folds it, `plan` mixes in the previous
-    /// committed output (the feedback edge), `commit` records checksums.
+    /// Deterministic workload exercising all three stages: `sense` fills a
+    /// buffer from `k`, `perceive` folds it, and `plan` mixes in its
+    /// previous output (the feedback edge) and records the checksum.
     fn checksums(pool: Option<&WorkerPool>, depth: usize, frames: u64) -> (Vec<u64>, PipelineRun) {
         let mut out = Vec::new();
+        let mut prev: Option<u64> = None;
         let run = FramePipeline::new(depth).run(
             pool,
             frames,
-            |k, ctx: StageCtx<'_, Vec<u64>>| {
-                let mut buf = ctx.recycled.unwrap_or_else(|| ctx.arena.take());
-                buf.clear();
-                buf.extend((0..64).map(|i| (k + 1).wrapping_mul(0x9E37_79B9).rotate_left(i)));
-                buf
+            |k| -> Vec<u64> {
+                (0..64)
+                    .map(|i| (k + 1).wrapping_mul(0x9E37_79B9).rotate_left(i))
+                    .collect()
             },
-            |k, s, ctx: StageCtx<'_, Vec<u64>>| {
-                let mut buf = ctx.recycled.unwrap_or_else(|| ctx.arena.take());
-                buf.clear();
-                buf.push(
-                    s.iter()
-                        .fold(k, |h, v| (h ^ v).wrapping_mul(0x0100_0000_01b3)),
-                );
-                buf
+            |k, s| {
+                s.iter()
+                    .fold(k, |h, v| (h ^ v).wrapping_mul(0x0100_0000_01b3))
             },
-            |k, p, prev: Option<&u64>| p[0] ^ prev.copied().unwrap_or(k),
-            |_, o| {
-                out.push(*o);
-                FrameControl::Continue
+            |k, p| {
+                let o = p ^ prev.unwrap_or(k);
+                prev = Some(o);
+                out.push(o);
             },
         );
         (out, run)
     }
 
     #[test]
-    fn depth_one_is_the_serial_schedule() {
-        let pool = WorkerPool::new(4);
-        let (serial, run) = checksums(None, 1, 40);
-        let (d1, run1) = checksums(Some(&pool), 1, 40);
-        assert_eq!(serial, d1);
-        assert_eq!(run.pipelined_frames, 0);
-        assert_eq!(run1.pipelined_frames, 0, "depth 1 never spins up lanes");
-    }
-
-    #[test]
     fn outputs_are_identical_across_depths_and_lane_counts() {
-        let (reference, _) = checksums(None, 1, 60);
+        let (reference, serial) = checksums(None, 1, 60);
+        assert_eq!(serial.placement, Placement::Inline);
         for lanes in [1, 2, 3, 4, 8] {
             let pool = WorkerPool::new(lanes);
             for depth in 1..=4 {
                 let (out, run) = checksums(Some(&pool), depth, 60);
-                assert_eq!(out, reference, "depth {depth}, lanes {lanes}");
+                let cell = format!("depth {depth}, lanes {lanes}");
+                assert_eq!(out, reference, "{cell}");
+                let piped = depth > 1 && lanes >= 3;
+                let placement = if piped {
+                    Placement::Lane
+                } else {
+                    Placement::Inline
+                };
+                assert_eq!(run.placement, placement, "{cell}");
                 assert_eq!(run.frames, 60);
                 assert_eq!(run.latencies.len(), 60);
-                if depth > 1 && lanes >= 3 {
-                    assert_eq!(run.pipelined_frames, 60, "depth {depth}, lanes {lanes}");
+                // One sample per stage and frame, each stage in frame order.
+                for stage in [SENSING, PERCEPTION, PLANNING] {
+                    let frames: Vec<u64> = run
+                        .samples
+                        .iter()
+                        .filter(|s| s.stage == stage)
+                        .map(|s| s.frame)
+                        .collect();
+                    assert_eq!(frames, (0..60).collect::<Vec<_>>(), "{cell}");
+                    assert!(run.occupancy(stage) > 0.0, "{cell}: stage {stage}");
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn too_few_lanes_falls_back_to_serial() {
-        let pool = WorkerPool::new(2);
-        let (out, run) = checksums(Some(&pool), 4, 20);
-        let (reference, reference_run) = checksums(None, 1, 20);
-        assert_eq!(out, reference);
-        assert_eq!(run.pipelined_frames, 0, "2 lanes cannot host 3 stages");
-        assert!(run.serial_fallback, "depth 4 on 2 lanes is a fallback run");
-        assert!(!reference_run.serial_fallback, "depth 1 is not a fallback");
-    }
-
-    #[test]
-    fn attribution_components_sum_to_span_on_both_paths() {
-        let pool = WorkerPool::new(4);
-        for (pool_opt, depth) in [(None, 1usize), (Some(&pool), 3)] {
-            let (_, run) = checksums(pool_opt, depth, 40);
-            assert_eq!(run.attribution.len(), 40, "one attribution per frame");
-            for (i, a) in run.attribution.iter().enumerate() {
-                assert_eq!(a.frame, i as u64, "frame order preserved");
-                let tolerance = if pool_opt.is_some() { 1_000 } else { 0 };
-                assert!(
-                    a.residual_ns() <= tolerance,
-                    "frame {i} (depth {depth}): residual {} ns exceeds {tolerance}",
-                    a.residual_ns()
-                );
-            }
-            if pool_opt.is_none() {
-                for a in &run.attribution {
-                    assert_eq!(a.queue_ns, 0, "serial frames never queue");
-                    assert_eq!(a.stall_ns, 0, "serial frames never stall");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn drain_commits_in_flight_frames_in_order_then_serializes() {
-        let pool = WorkerPool::new(3);
-        let (reference, _) = checksums(None, 1, 50);
-        for depth in 2..=4 {
-            let mut out = Vec::new();
-            let run = FramePipeline::new(depth).run(
-                Some(&pool),
-                50,
-                |k, _ctx: StageCtx<'_, u64>| k.wrapping_mul(0x9E37_79B9),
-                |k, s, _ctx: StageCtx<'_, u64>| (k ^ s).wrapping_mul(0x0100_0000_01b3),
-                |k, p, prev: Option<&u64>| p ^ prev.copied().unwrap_or(k),
-                |k, o| {
-                    out.push(*o);
-                    if k == 7 {
-                        FrameControl::Drain
-                    } else {
-                        FrameControl::Continue
+                for s in &run.samples {
+                    assert!(s.residual_ns() <= 1_000, "{cell}: {s:?}");
+                    if !piped || s.stage == PLANNING {
+                        assert_eq!((s.queue_ns, s.stall_ns), (0, 0), "inline never waits");
                     }
-                },
-            );
-            // Same stage closures as `checksums` but on u64 products; the
-            // reference uses Vec products, so recompute a u64 reference.
-            let mut expect = Vec::new();
-            let mut prev: Option<u64> = None;
-            for k in 0..50u64 {
-                let s = k.wrapping_mul(0x9E37_79B9);
-                let p = (k ^ s).wrapping_mul(0x0100_0000_01b3);
-                let o = p ^ prev.unwrap_or(k);
-                expect.push(o);
-                prev = Some(o);
+                }
             }
-            assert_eq!(out, expect, "depth {depth}: drain must not reorder");
-            assert!(run.drained);
-            assert_eq!(run.frames, 50, "every frame still commits");
-            assert!(
-                run.pipelined_frames >= 8 && run.pipelined_frames <= 50,
-                "in-flight frames commit through the pipeline (got {})",
-                run.pipelined_frames
-            );
-            let _ = reference; // silence when depths loop changes
         }
     }
 
@@ -737,25 +550,24 @@ mod tests {
         let pool = WorkerPool::new(3);
         for depth in [2usize, 3] {
             let sensed = AtomicU64::new(0);
-            let committed = AtomicU64::new(0);
+            let planned = AtomicU64::new(0);
             let max_ahead = AtomicU64::new(0);
             FramePipeline::new(depth).run(
                 Some(&pool),
                 80,
-                |k, _ctx: StageCtx<'_, u64>| {
-                    let ahead = sensed.fetch_add(1, Ordering::SeqCst) + 1
-                        - committed.load(Ordering::SeqCst);
+                |k| {
+                    let ahead =
+                        sensed.fetch_add(1, Ordering::SeqCst) + 1 - planned.load(Ordering::SeqCst);
                     max_ahead.fetch_max(ahead, Ordering::SeqCst);
                     k
                 },
-                |_, s, _ctx: StageCtx<'_, u64>| *s,
-                |_, p, _| *p,
+                |_, s| s,
                 |_, _| {
-                    committed.fetch_add(1, Ordering::SeqCst);
-                    FrameControl::Continue
+                    planned.fetch_add(1, Ordering::SeqCst);
                 },
             );
-            let bound = 2 * depth as u64 + 3;
+            // One frame in sensing and at most `depth` in perception.
+            let bound = depth as u64 + 1;
             assert!(
                 max_ahead.load(Ordering::SeqCst) <= bound,
                 "depth {depth}: sensing ran {} frames ahead (bound {bound})",
@@ -765,85 +577,34 @@ mod tests {
     }
 
     #[test]
-    fn steady_state_recycles_products() {
-        // After warm-up every sense/perceive call must receive a recycled
-        // carcass on the serial path, and the pipelined path must reuse
-        // buffer capacity (no per-frame growth).
-        let mut misses = 0u64;
-        FramePipeline::new(1).run(
-            None,
-            20,
-            |_, ctx: StageCtx<'_, Vec<u64>>| {
-                if ctx.recycled.is_none() {
-                    misses += 1;
-                }
-                let mut buf = ctx.recycled.unwrap_or_default();
-                buf.clear();
-                buf.resize(32, 7);
-                buf
-            },
-            |_, _, ctx: StageCtx<'_, Vec<u64>>| ctx.recycled.unwrap_or_default(),
-            |_, _, _: Option<&u64>| 0,
-            |_, _| FrameControl::Continue,
-        );
-        assert_eq!(
-            misses, 1,
-            "only the first frame allocates on the serial path"
-        );
-    }
-
-    #[test]
-    fn stage_busy_accumulates_on_both_paths() {
-        let pool = WorkerPool::new(3);
-        for pool_opt in [None, Some(&pool)] {
-            let (_, run) = checksums(pool_opt, 3, 40);
-            for stage in 0..3 {
-                let busy_ns: u64 = run.attribution.iter().map(|a| a.compute_ns[stage]).sum();
-                assert!(
-                    busy_ns > 0,
-                    "stage {stage} busy time recorded (pooled: {})",
-                    pool_opt.is_some()
-                );
-                assert!(run.occupancy(stage) > 0.0);
-                assert!(
-                    Duration::from_nanos(busy_ns) <= run.wall.max(Duration::from_nanos(1)) * 2,
-                    "busy cannot wildly exceed wall for a single lane"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn throughput_set_by_slowest_stage_latency_by_sum() {
-        // Fig. 5 with 8 / 8 / 1 ms stages: depth 1 (serialized) commits a
-        // frame every 17 ms; pipelined, one per slowest stage (8 ms),
-        // while each frame still spends the 17 ms sum in flight. Sleeps
-        // need no CPU, so the bounds hold on 1- and 2-core hosts.
+        // Fig. 5 with 8 / 8 / 1 ms stages: depth 1 (serialized) plans a
+        // frame every 17 ms; pipelined, one per slowest stage (8 ms), while
+        // each frame still spends the 17 ms sum in flight. Sleeps need no
+        // CPU, so the bounds hold on 1- and 2-core hosts; the latency
+        // bound is read from the run's own samples, so a loaded host that
+        // stretches the sleeps cannot break it.
         let pool = WorkerPool::new(3);
         let nap = |ms| std::thread::sleep(Duration::from_millis(ms));
         let run = |depth| {
             FramePipeline::new(depth).run(
                 Some(&pool),
                 30,
-                |k, _ctx: StageCtx<'_, u64>| {
+                |k| {
                     nap(8);
                     k
                 },
-                |_, s, _ctx: StageCtx<'_, u64>| {
+                |_, s| {
                     nap(8);
-                    *s
+                    s
                 },
-                |_, p, _: Option<&u64>| {
-                    nap(1);
-                    *p
-                },
-                |_, _| FrameControl::Continue,
+                |_, _| nap(1),
             )
         };
         let serial = run(1);
         for depth in [2, 4] {
             let piped = run(depth);
-            assert_eq!(piped.pipelined_frames, 30, "depth {depth} overlaps");
+            assert_eq!(piped.placement, Placement::Lane, "depth {depth} overlaps");
             let speedup = piped.throughput_fps() / serial.throughput_fps();
             assert!(
                 speedup >= 1.5,
@@ -853,9 +614,28 @@ mod tests {
             for (label, r) in [("depth 1", &serial), ("pipelined", &piped)] {
                 let p50_ms = r.latency_percentile(0.5).as_secs_f64() * 1e3;
                 assert!(
-                    (17.0..25.0).contains(&p50_ms),
-                    "{label} (depth {depth}): latency is the 17 ms stage sum, \
-                     got p50 {p50_ms:.1} ms"
+                    p50_ms >= 17.0,
+                    "{label} (depth {depth}): latency is at least the 17 ms \
+                     stage sum, got p50 {p50_ms:.1} ms"
+                );
+                // What a frame spends beyond its three stages' compute:
+                // ring waits and hand-offs, never a whole slowest stage.
+                let mut compute_ns = [0u64; 30];
+                for s in &r.samples {
+                    compute_ns[s.frame as usize] += s.compute_ns;
+                }
+                let mut overhead_ms: Vec<f64> = r
+                    .latencies
+                    .iter()
+                    .zip(compute_ns)
+                    .map(|(l, c)| (l.as_nanos() as f64 - c as f64) / 1e6)
+                    .collect();
+                overhead_ms.sort_by(f64::total_cmp);
+                let median = overhead_ms[overhead_ms.len() / 2];
+                assert!(
+                    median < 8.0,
+                    "{label} (depth {depth}): median latency beyond the \
+                     stages' compute is {median:.2} ms, a whole slowest stage"
                 );
             }
         }
@@ -865,10 +645,7 @@ mod tests {
     fn a_stage_panic_reaches_the_caller_and_the_pool_survives() {
         let pool = Arc::new(WorkerPool::new(3));
         let (reference, _) = checksums(None, 1, 40);
-        for (stage, name) in ["sense", "perceive", "plan", "commit"]
-            .into_iter()
-            .enumerate()
-        {
+        for (stage, name) in ["sense", "perceive", "plan"].into_iter().enumerate() {
             let lanes = Arc::clone(&pool);
             let (tx, rx) = mpsc::channel();
             // On a worker thread, so a deadlock fails the test instead of
@@ -881,22 +658,15 @@ mod tests {
                     FramePipeline::new(2).run(
                         Some(&lanes),
                         200,
-                        |k, _ctx: StageCtx<'_, u64>| {
+                        |k| {
                             boom(0, k);
                             k
                         },
-                        |k, s, _ctx: StageCtx<'_, u64>| {
+                        |k, s| {
                             boom(1, k);
-                            *s
+                            s
                         },
-                        |k, p, _: Option<&u64>| {
-                            boom(2, k);
-                            *p
-                        },
-                        |k, _| {
-                            boom(3, k);
-                            FrameControl::Continue
-                        },
+                        |k, _| boom(2, k),
                     )
                 }));
                 let _ = tx.send(result.is_err());
@@ -909,7 +679,8 @@ mod tests {
             let (out, run) = checksums(Some(&pool), 2, 40);
             assert_eq!(out, reference, "pool reusable after a {name} panic");
             assert_eq!(
-                run.pipelined_frames, 40,
+                run.placement,
+                Placement::Lane,
                 "lanes still run after a {name} panic"
             );
         }
@@ -1005,13 +776,13 @@ mod tests {
         let run = FramePipeline::new(3).run(
             Some(&pool),
             0,
-            |_, _ctx: StageCtx<'_, u64>| unreachable!("no frames to sense"),
-            |_, _, _ctx: StageCtx<'_, u64>| unreachable!(),
-            |_, _, _: Option<&u64>| unreachable!(),
-            |_, _: &u64| unreachable!(),
+            |_| -> u64 { unreachable!("no frames to sense") },
+            |_, _| -> u64 { unreachable!() },
+            |_, _| unreachable!(),
         );
         assert_eq!(run.frames, 0);
         assert!(run.latencies.is_empty());
+        assert!(run.samples.is_empty());
     }
 
     #[test]

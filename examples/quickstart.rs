@@ -7,7 +7,7 @@
 
 use sov::core::config::VehicleConfig;
 use sov::core::sov::Sov;
-use sov::runtime::pipeline::{FrameControl, FramePipeline, StageCtx};
+use sov::runtime::pipeline::FramePipeline;
 use sov::runtime::pool::WorkerPool;
 use sov::world::scenario::Scenario;
 use std::time::Duration;
@@ -66,19 +66,15 @@ fn main() {
         let run = FramePipeline::new(depth).run(
             Some(&pool),
             40,
-            |k, _ctx: StageCtx<'_, u64>| {
+            |k| {
                 work(8);
                 k
             },
-            |_, s, _ctx: StageCtx<'_, u64>| {
+            |_, s| {
                 work(8);
-                *s
+                s
             },
-            |_, p, _: Option<&u64>| {
-                work(1);
-                *p
-            },
-            |_, _| FrameControl::Continue,
+            |_, _| work(1),
         );
         println!(
             "  depth {depth} ({mode}): throughput {:.0} Hz, per-frame latency {:.1} ms",

@@ -86,7 +86,8 @@ cargo build --offline --release -p sov-bench --bins
 perf_json="$(mktemp)"
 pipeline_json="$(mktemp)"
 fault_json="$(mktemp)"
-trap 'rm -f "$perf_json" "$pipeline_json" "$fault_json"' EXIT
+scenario_json="$(mktemp)"
+trap 'rm -f "$perf_json" "$pipeline_json" "$fault_json" "$scenario_json"' EXIT
 ./target/release/perf_matrix --smoke --json "$perf_json"
 checksums() { grep -o '"checksum": "[0-9a-f]*"' "$1" | sort -u; }
 committed="$(checksums BENCH_perf.json)"
@@ -128,6 +129,15 @@ echo "fault digest gate: $(runs "$fault_json" | wc -l) runs equal BENCH_fault.js
 echo "== scenario_matrix smoke (generated scenarios × faults, safety =="
 echo "== invariants per frame; proves worker-lane JSON invariance)   =="
 ./target/release/scenario_matrix --smoke --workers 3
+
+echo "== scenario_matrix, full matrix (its JSON has no wall-clock field, =="
+echo "== so it must be byte-identical to BENCH_scenarios.json)          =="
+./target/release/scenario_matrix --json "$scenario_json"
+if ! cmp "$scenario_json" BENCH_scenarios.json; then
+  echo "scenario digest gate: fresh output differs from BENCH_scenarios.json"
+  exit 1
+fi
+echo "scenario digest gate: output equals BENCH_scenarios.json byte for byte"
 
 echo "== fleet determinism proptests (byte-identity across workers × =="
 echo "== shard sizes × fault injection; allocation-free steady state) =="
