@@ -23,12 +23,12 @@
 //! `--seed N` picks the seed (default 42); `--json PATH` additionally
 //! writes the matrix as JSON.
 
+use sov_bench::{quad, quad_json};
 use sov_core::config::VehicleConfig;
 use sov_core::health::DegradationMode;
 use sov_core::sov::{DriveOutcome, DriveReport, Sov};
 use sov_core::tail::TailReport;
 use sov_fault::{FaultKind, FaultPlan};
-use sov_math::stats::Summary;
 use sov_runtime::PerfContext;
 use sov_sim::time::SimTime;
 use sov_world::scenario::Scenario;
@@ -62,19 +62,6 @@ fn drive_piped(scenario: &Scenario, seed: u64, plan: &FaultPlan) -> DriveReport 
     sov.set_perf(PerfContext::with_pipeline_workers(3, 4));
     sov.drive_with_plan(scenario, FRAMES, plan)
         .expect("FRAMES > 0")
-}
-
-/// `[p50, p99, p99.9, max]` — the four points every attribution column
-/// reports (the pipeline-matrix convention).
-fn quad(s: &mut Summary) -> [f64; 4] {
-    [s.percentile(50.0), s.p99(), s.p999(), s.max()]
-}
-
-fn quad_json(q: [f64; 4]) -> String {
-    format!(
-        "{{\"p50\": {:.3}, \"p99\": {:.3}, \"p999\": {:.3}, \"max\": {:.3}}}",
-        q[0], q[1], q[2], q[3]
-    )
 }
 
 fn attribution_json(r: &Run) -> String {

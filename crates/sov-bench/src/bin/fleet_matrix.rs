@@ -11,7 +11,7 @@
 //! * **dispatch work counters**: distance evaluations, route-cache
 //!   hits/misses, commit-conflict fallback searches, stall requeues —
 //!   deterministic (worker-invariant), so they are gateable;
-//! * **wait and travel time** at p50/p99/p99.9/max via [`Summary`];
+//! * **wait and travel time** at p50/p99/p99.9/max via `Summary`;
 //! * **fleet economics**: utilization, charging fraction, energy and
 //!   pro-rated TCO per ride, and the Eq. 2 driving time lost to the
 //!   autonomy load.
@@ -38,14 +38,17 @@
 //! host cannot overlap the lanes it does not have, so there it prints a
 //! warning instead.
 //!
-//! Flags: `--json PATH` writes the matrix (the committed baseline is
-//! `BENCH_fleet.json`); `--smoke` shrinks the sweep for CI; `--seed N`
+//! Every fleet row prints its report checksum. `--json PATH` writes the
+//! matrix (the committed baseline is `BENCH_fleet.json`) together with
+//! `smoke_checksum`, the checksum of the `--smoke` fleet (400 vehicles ×
+//! 600 ticks) at the same seed, which `scripts/check.sh` requires its
+//! smoke runs to print. `--smoke` shrinks the sweep for CI; `--seed N`
 //! reseeds the demand stream; `--dispatch linear|indexed|both` picks the
 //! mode axis (default `both`: one linear serial reference cell plus the
 //! indexed worker sweep).
 
+use sov_bench::{quad, quad_json};
 use sov_fleet::sim::{DispatchMode, DispatchStats, FleetConfig, FleetReport, FleetSim};
-use sov_math::stats::Summary;
 use sov_runtime::pool::WorkerPool;
 use std::time::Instant;
 
@@ -102,19 +105,6 @@ impl FleetRow {
     }
 }
 
-/// `[p50, p99, p99.9, max]` — the four points every latency column
-/// reports (the pipeline-matrix convention).
-fn quad(s: &mut Summary) -> [f64; 4] {
-    [s.percentile(50.0), s.p99(), s.p999(), s.max()]
-}
-
-fn quad_json(q: [f64; 4]) -> String {
-    format!(
-        "{{\"p50\": {:.3}, \"p99\": {:.3}, \"p999\": {:.3}, \"max\": {:.3}}}",
-        q[0], q[1], q[2], q[3]
-    )
-}
-
 fn phase_json(p: [f64; 4]) -> String {
     format!(
         "{{\"arrivals\": {:.3}, \"dispatch\": {:.3}, \"advance\": {:.3}, \"merge\": {:.3}}}",
@@ -145,16 +135,20 @@ fn run_cell(cfg: &FleetConfig, workers: usize) -> (FleetReport, DispatchStats, f
     (sim.report(), sim.dispatch_stats(), wall_s, phase_s)
 }
 
+fn config(seed: u64, fleet: u32, ticks: u64, dispatch: DispatchMode) -> FleetConfig {
+    FleetConfig {
+        seed,
+        ticks,
+        dispatch,
+        ..FleetConfig::perceptin_fleet(fleet)
+    }
+}
+
 fn run_fleet(seed: u64, fleet: u32, ticks: u64, sweeps: &[(DispatchMode, Vec<usize>)]) -> FleetRow {
     let mut cells = Vec::new();
     let mut reference: Option<FleetReport> = None;
     for (mode, workers) in sweeps {
-        let cfg = FleetConfig {
-            seed,
-            ticks,
-            dispatch: *mode,
-            ..FleetConfig::perceptin_fleet(fleet)
-        };
+        let cfg = config(seed, fleet, ticks, *mode);
         for &w in workers {
             let (report, stats, wall_s, phase_s) = run_cell(&cfg, w);
             // Byte-identity gate: compare before any percentile query.
@@ -253,7 +247,7 @@ fn main() {
     let mut stats_invariant = true;
     for row in &rows {
         sov_bench::section(&format!(
-            "fleet {} × {} ticks — {} requests, {} rides, util {:.2}, wait p50/p99 {:.0}/{:.0} s",
+            "fleet {} × {} ticks — {} requests, {} rides, util {:.2}, wait p50/p99 {:.0}/{:.0} s, checksum {:016x}",
             row.fleet,
             row.ticks,
             row.report.requests,
@@ -261,6 +255,7 @@ fn main() {
             row.report.utilization,
             row.wait[0],
             row.wait[1],
+            row.report.checksum,
         ));
         println!(
             "{:>8} | {:>7} | {:>8} | {:>9} | {:>8} | {:>11} | {:>10} | {:>5}",
@@ -378,16 +373,26 @@ fn main() {
     }
 
     if let Some(path) = json_path {
+        let (smoke_fleet, smoke_ticks) = SMOKE_FLEETS[0];
+        let smoke_checksum = FleetSim::new(config(
+            seed,
+            smoke_fleet,
+            smoke_ticks,
+            DispatchMode::Indexed,
+        ))
+        .run(None)
+        .checksum;
         let mut out = String::from("{\n");
         out.push_str(&format!(
-            "  \"seed\": {seed},\n  \"host_cores\": {host_cores},\n  \"smoke\": {smoke},\n  \"dispatch\": \"{dispatch_arg}\",\n"
+            "  \"seed\": {seed},\n  \"host_cores\": {host_cores},\n  \"smoke\": {smoke},\n  \"dispatch\": \"{dispatch_arg}\",\n  \"smoke_checksum\": \"{smoke_checksum:016x}\",\n"
         ));
         out.push_str(concat!(
             "  \"caveats\": [\n",
             "    \"wall_s, rides_per_sec, realtime_factor and phase_s are wall-clock and vary run to run\",\n",
             "    \"every simulated field is deterministic: byte-identical across dispatch modes and worker counts, witnessed by the checksum\",\n",
             "    \"dispatch work counters (distance_evals, cache hits/misses, fallbacks, requeues) are deterministic and worker-invariant\",\n",
-            "    \"the throughput gate is enforced only when host_cores >= 3\"\n",
+            "    \"the throughput gate is enforced only when host_cores >= 3\",\n",
+            "    \"smoke_checksum is the checksum of the --smoke fleet (400 vehicles x 600 ticks), which check.sh requires each smoke run to print\"\n",
             "  ],\n"
         ));
         out.push_str("  \"fleets\": [\n");

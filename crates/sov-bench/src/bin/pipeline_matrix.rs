@@ -42,6 +42,7 @@
 //! `BENCH_pipeline.json`); `--smoke` shrinks the run for CI; `--frames N`
 //! overrides the replay frame count; `--seed N` reseeds the workload.
 
+use sov_bench::{digest_report, mix, quad, quad_json};
 use sov_core::config::VehicleConfig;
 use sov_core::pipeline::{FrameLatency, LatencyPipeline};
 use sov_core::sov::{DriveReport, Sov};
@@ -60,17 +61,6 @@ use std::time::{Duration, Instant};
 /// full matrix under ~10 s of wall clock without changing the ratios that
 /// determine speedup.
 const TIME_SCALE: f64 = 20.0;
-
-/// SplitMix64 step — the same cheap bit mixer the perf matrix uses for its
-/// checksum gate.
-fn mix(h: u64, v: u64) -> u64 {
-    let mut x = h ^ v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// Deterministic scene-complexity schedule for the replayed frames (a
 /// slow ramp with a busy burst, independent of any scenario geometry).
@@ -137,50 +127,8 @@ fn run_replay_cell(stages: &[[f64; 3]], depth: usize, workers: usize) -> (Pipeli
     (run, checksum)
 }
 
-/// Digest of a [`DriveReport`] for display; the equality gate itself uses
-/// the report's exact bitwise `PartialEq`.
-fn digest_report(r: &DriveReport) -> u64 {
-    let mut h = mix(0, r.frames);
-    for v in [
-        r.distance_m,
-        r.min_obstacle_gap_m,
-        r.energy_used_kwh,
-        r.final_localization_error_m,
-        r.mean_cross_track_error_m,
-        r.computing.mean(),
-    ] {
-        h = mix(h, v.to_bits());
-    }
-    for v in [
-        r.override_engagements,
-        r.override_ticks,
-        r.mode_transitions,
-        r.deadline_misses,
-        r.can_frames_lost,
-    ] {
-        h = mix(h, v);
-    }
-    for t in r.mode_ticks {
-        h = mix(h, t);
-    }
-    h
-}
-
 fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
-}
-
-/// `[p50, p99, p99.9, max]` of a summary, the four points every
-/// attribution column reports.
-fn quad(s: &mut Summary) -> [f64; 4] {
-    [s.percentile(50.0), s.p99(), s.p999(), s.max()]
-}
-
-fn quad_json(q: [f64; 4]) -> String {
-    format!(
-        "{{\"p50\": {:.3}, \"p99\": {:.3}, \"p999\": {:.3}, \"max\": {:.3}}}",
-        q[0], q[1], q[2], q[3]
-    )
 }
 
 /// The compute/queue/stall split of a replay run, each frame's three

@@ -24,9 +24,13 @@
 //! ```
 //!
 //! `--seed N` picks the base seed (default 42); `--json PATH` writes the
-//! matrix (deterministic: no wall-clock values). Exits non-zero on any
+//! matrix (deterministic: no wall-clock values). Each matrix row carries a
+//! `report_digest` folded, in scenario order, from the digest of every
+//! drive in the row, so the JSON changes whenever any drive's report
+//! does — not only when an aggregate moves. Exits non-zero on any
 //! invariant violation or collision.
 
+use sov_bench::{digest_report, mix};
 use sov_core::config::VehicleConfig;
 use sov_core::sov::{DriveOutcome, DriveReport, Sov};
 use sov_fault::{FaultKind, FaultPlan};
@@ -50,6 +54,8 @@ struct Cell {
     deepest_mode: usize,
     violations: u64,
     min_gap_m: f64,
+    /// [`digest_report`] of the drive.
+    digest: u64,
 }
 
 /// A confirmed-minimal failing triple.
@@ -148,6 +154,7 @@ fn run_scenario(scenario_seed: u64) -> ScenRun {
             deepest_mode: deepest_mode(&rep),
             violations: rep.safety.violations,
             min_gap_m: rep.min_obstacle_gap_m,
+            digest: digest_report(&rep),
         });
     }
     ScenRun {
@@ -193,6 +200,8 @@ struct Agg {
     deepest: [u64; 4],
     violations: u64,
     min_gap_m: f64,
+    /// The row's drive digests, folded in scenario order.
+    report_digest: u64,
 }
 
 impl Agg {
@@ -232,6 +241,7 @@ fn aggregate(runs: &[ScenRun]) -> Vec<(String, String, Agg)> {
             if cell.min_gap_m.is_finite() {
                 a.min_gap_m = a.min_gap_m.min(cell.min_gap_m);
             }
+            a.report_digest = mix(a.report_digest, cell.digest);
         }
     }
     rows
@@ -268,7 +278,8 @@ fn json_report(base: u64, seeds: &[u64], runs: &[ScenRun]) -> String {
                     "\"outcomes\": {{\"completed\": {}, \"stopped\": {}, \"collision\": {}}}, ",
                     "\"deepest_mode\": {{\"nominal\": {}, \"degraded-localization\": {}, ",
                     "\"reactive-only\": {}, \"safe-stop\": {}}}, ",
-                    "\"invariant_violations\": {}, \"verdict\": \"{}\", \"min_gap_m\": {}}}"
+                    "\"invariant_violations\": {}, \"verdict\": \"{}\", \"min_gap_m\": {}, ",
+                    "\"report_digest\": \"{:016x}\"}}"
                 ),
                 class,
                 fault,
@@ -287,6 +298,7 @@ fn json_report(base: u64, seeds: &[u64], runs: &[ScenRun]) -> String {
                 } else {
                     "null".to_string()
                 },
+                a.report_digest,
             )
         })
         .collect();

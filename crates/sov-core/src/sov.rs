@@ -198,8 +198,8 @@ impl DriveReport {
 pub struct Sov {
     planner: MpcPlanner,
     detector: Detector,
-    /// Intra-frame parallelism + per-frame buffer reuse. Defaults to
-    /// serial; never affects any computed value (determinism invariant).
+    /// Stage placement + per-frame buffer reuse. Defaults to serial;
+    /// never affects any computed value (determinism invariant).
     perf: PerfContext,
     rig: Rig,
 }
@@ -247,9 +247,12 @@ impl Sov {
         &self.rig.config
     }
 
-    /// Installs an intra-frame performance context (worker pool + frame
-    /// arena). A pool-enabled drive is bit-identical to a serial one —
-    /// the pool only changes who computes, never what.
+    /// Installs the performance context: the frame arena the drive's
+    /// buffers come from and, for a pipelined drive, the pool whose lanes
+    /// host the stage nodes ([`PerfContext::stage_placement`]). No stage
+    /// runs a pooled kernel, so a depth-1 context drives on the calling
+    /// thread alone. Every context is bit-identical to the serial drive —
+    /// placement only changes who computes, never what.
     pub fn set_perf(&mut self, perf: PerfContext) {
         self.perf = perf;
     }
@@ -455,11 +458,18 @@ struct PlanMeta {
 /// they are forwarded, and its output is read only at the control tick,
 /// after a blocking take.
 ///
+/// # Why a warm arena never allocates, however the lanes are timed
+///
 /// Detections are taken only there, in degraded mode and at drains, and
 /// each camera frame's detection buffer leaves `det_free` at dispatch: so
-/// the number of buffers out at any time follows from the event schedule
-/// alone, and a warm arena never allocates one, however the lanes are
-/// timed.
+/// the number of detection buffers out at any time follows from the event
+/// schedule alone. Plans are taken eagerly, so how many obstacle buffers
+/// are out at once does depend on lane timing — but never beyond a bound:
+/// after each plan dispatch back-pressure leaves at most `depth` plans
+/// untaken, and the next control tick fills one more buffer. A drive
+/// therefore takes exactly `depth + 1` obstacle buffers from the arena up
+/// front (`obs_free`) and circulates those, so the arena sees the same
+/// takes whatever the lanes do.
 struct Stages<'a> {
     frontend: FrontEndNode<'a>,
     detector: DetectorNode<'a>,
@@ -470,6 +480,9 @@ struct Stages<'a> {
     detections: Vec<Detection>,
     /// Detection buffers awaiting reuse (capacity-only scratch).
     det_free: Vec<Vec<Detection>>,
+    /// Obstacle buffers awaiting reuse: `depth + 1` taken from the arena
+    /// when the drive starts, as many as can be out at once.
+    obs_free: Vec<Vec<PlanningObstacle>>,
     /// Per-in-flight-plan sequencing metadata, in dispatch (frame) order.
     pending: VecDeque<PlanMeta>,
     /// Degraded operation: every dispatch is taken before the sequencer
@@ -511,7 +524,6 @@ impl Stages<'_> {
             return false;
         };
         let meta = self.pending.pop_front().expect("one meta per plan");
-        self.arena.recycle(obstacles);
         if meta.accept && ecu.overrides_engaged_count() == meta.engage_count {
             ecu.accept_command(command, meta.arrival);
         }
@@ -519,7 +531,15 @@ impl Stages<'_> {
         // is the end-to-end latency Eq. 1 bounds.
         self.led
             .record_frame(FrameSample::from_stage(&sample, meta.degraded));
+        self.obs_free.push(obstacles);
         true
+    }
+
+    /// An empty obstacle buffer for the next plan.
+    fn obstacle_buffer(&mut self) -> Vec<PlanningObstacle> {
+        let mut buf = self.obs_free.pop().unwrap_or_else(|| self.arena.take());
+        buf.clear();
+        buf
     }
 
     /// Dispatches one camera frame to the front-end (its product is
@@ -616,6 +636,9 @@ impl Stages<'_> {
     fn shutdown(mut self, ecu: &mut Ecu) -> VioFilter {
         self.drain(ecu);
         for buf in self.det_free.drain(..) {
+            self.arena.recycle(buf);
+        }
+        for buf in self.obs_free.drain(..) {
             self.arena.recycle(buf);
         }
         self.arena.recycle(std::mem::take(&mut self.detections));
@@ -734,6 +757,9 @@ fn drive_loop(
         vio: VioFilter::new(start_pose, VioConfig::default()),
         detections: perf.arena.take(),
         det_free: Vec::new(),
+        obs_free: (0..=perf.effective_pipeline_depth())
+            .map(|_| perf.arena.take())
+            .collect(),
         pending: VecDeque::new(),
         sync_mode: false,
         arena: &perf.arena,
@@ -982,8 +1008,7 @@ fn drive_loop(
                 // vehicle-frame lateral plus the vehicle's own route
                 // offset, so maneuver targets and obstacles share a
                 // frame.
-                let mut obstacles: Vec<PlanningObstacle> = perf.arena.take();
-                obstacles.clear();
+                let mut obstacles = stages.obstacle_buffer();
                 if let Some(scan) = last_scan.as_ref() {
                     obstacles.extend(
                         scan.targets
@@ -1332,19 +1357,15 @@ mod tests {
     }
 
     #[test]
-    fn pooled_drive_report_is_identical_and_allocation_free() {
+    fn serial_drive_is_allocation_free_with_a_warm_arena() {
         let scenario = Scenario::fishers_indiana(3);
-        let mut serial = Sov::new(VehicleConfig::perceptin_pod(), 3);
-        let r_serial = serial.drive(&scenario, 200).unwrap();
-        let mut pooled = Sov::new(VehicleConfig::perceptin_pod(), 3);
-        pooled.set_perf(PerfContext::with_workers(4));
-        let r_pooled = pooled.drive(&scenario, 200).unwrap();
-        assert_eq!(r_pooled, r_serial, "pool must not change the drive");
+        let mut sov = Sov::new(VehicleConfig::perceptin_pod(), 3);
+        let _ = sov.drive(&scenario, 200).unwrap();
         // With the arena warm, a further drive's steady-state control
         // ticks allocate nothing: every buffer comes off the free list.
-        pooled.perf().arena.reset_stats();
-        let _ = pooled.drive(&scenario, 50).unwrap();
-        let stats = pooled.perf().arena.stats();
+        sov.perf().arena.reset_stats();
+        let _ = sov.drive(&scenario, 50).unwrap();
+        let stats = sov.perf().arena.stats();
         assert_eq!(stats.allocations, 0, "steady state must be reuse-only");
         assert!(stats.reuses > 0, "arena must actually be exercised");
     }

@@ -144,23 +144,3 @@ proptest! {
         prop_assert_eq!(pooled_bits, serial_bits);
     }
 }
-
-// Whole-drive invariance is expensive per case; a few seeds suffice on
-// top of the unit test in `sov::tests`.
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(3))]
-
-    #[test]
-    fn pooled_drive_reports_are_unchanged(seed in 0u64..1_000, lanes in 2usize..9) {
-        use sov_runtime::PerfContext;
-        use sov_core::sov::Sov;
-        use sov_world::scenario::Scenario;
-        let scenario = Scenario::fishers_indiana(seed);
-        let mut serial = Sov::new(VehicleConfig::perceptin_pod(), seed);
-        let r_serial = serial.drive(&scenario, 80).expect("drive runs");
-        let mut pooled = Sov::new(VehicleConfig::perceptin_pod(), seed);
-        pooled.set_perf(PerfContext::with_workers(lanes));
-        let r_pooled = pooled.drive(&scenario, 80).expect("drive runs");
-        prop_assert_eq!(r_pooled, r_serial);
-    }
-}

@@ -15,10 +15,11 @@
 //! yields the distance from the start of **every** lane to that
 //! destination, which is precisely the shape dispatch (many vehicles, one
 //! pickup) and per-tick motion (`next_hop` toward one destination) consume.
-//! Fields are memoized by [`RouteCache`], whose capacity and FIFO eviction
-//! order are fixed by config and mutated only on serial phases — cache
-//! state is a pure function of the request/trip sequence, never of worker
-//! timing, so sharded runs reproduce the serial reference byte for byte.
+//! Fields are memoized by [`RouteCache`], whose capacity follows from the
+//! map and whose FIFO eviction order is mutated only on serial phases —
+//! cache state is a pure function of the request/trip sequence, never of
+//! worker timing, so sharded runs reproduce the serial reference byte for
+//! byte.
 //!
 //! The heap Dijkstra pops in `(distance, lane)` order via `f64::total_cmp`
 //! and relaxes predecessor lists in CSR order, so two tables built from
@@ -554,16 +555,21 @@ impl RouteTable {
     }
 }
 
+/// Byte budget of a [`RouteCache`]: a map whose every destination field
+/// fits (`lanes × lanes × 8 B`) keeps them all resident; a larger map
+/// keeps as many fields as fit.
+pub(crate) const ROUTE_CACHE_BUDGET_BYTES: usize = 32 << 20;
+
 /// Deterministic bounded memo of [`RouteField`]s, keyed by destination
 /// lane.
 ///
-/// Capacity and eviction are fixed by config, not access timing: slots
-/// evict in strict FIFO **insertion** order (a hit never reorders), and
-/// the cache is touched only on the serial phases of the fleet tick —
-/// so its state after tick T is a pure function of the request/trip
-/// sequence, identical for every worker count. `usize::MAX` capacity
-/// means "never evict"; `0` disables memoization entirely (every call
-/// recomputes).
+/// Capacity follows from the map alone (a 32 MiB budget), and eviction
+/// from the lookup sequence alone: slots evict in strict FIFO
+/// **insertion** order (a hit never reorders), and the cache is touched
+/// only on the serial phases of the fleet tick — so its state after tick
+/// T is a pure function of the request/trip sequence, identical for every
+/// worker count. Residency changes which Dijkstra runs, never what it
+/// returns.
 #[derive(Debug)]
 pub struct RouteCache {
     capacity: usize,
@@ -576,10 +582,22 @@ pub struct RouteCache {
 }
 
 impl RouteCache {
-    /// Creates an empty cache for `table` holding at most `capacity`
-    /// compiled fields.
+    /// Creates an empty cache for `table`, sized from the map: every
+    /// destination field when all of them fit 32 MiB
+    /// (`lanes × lanes × 8 B`), otherwise as many as fit, and never fewer
+    /// than one.
     #[must_use]
-    pub fn new(table: &RouteTable, capacity: usize) -> Self {
+    pub fn new(table: &RouteTable) -> Self {
+        let field_bytes = table.len() * std::mem::size_of::<f64>();
+        Self::with_capacity(
+            table,
+            (ROUTE_CACHE_BUDGET_BYTES / field_bytes).clamp(1, table.len()),
+        )
+    }
+
+    /// An empty cache holding at most `capacity ≥ 1` fields.
+    pub(crate) fn with_capacity(table: &RouteTable, capacity: usize) -> Self {
+        assert!(capacity > 0, "a route cache holds at least one field");
         Self {
             capacity,
             slots: vec![None; table.len()],
@@ -589,8 +607,8 @@ impl RouteCache {
         }
     }
 
-    /// Returns the field toward `dest`, computing (and, capacity
-    /// permitting, memoizing) it on a miss.
+    /// Returns the field toward `dest`, computing and memoizing it on a
+    /// miss (evicting the oldest resident field when full).
     ///
     /// # Panics
     ///
@@ -602,14 +620,12 @@ impl RouteCache {
         }
         self.misses += 1;
         let field = Arc::new(table.field_to(dest));
-        if self.capacity > 0 {
-            while self.fifo.len() >= self.capacity {
-                let evict = self.fifo.pop_front().expect("len checked");
-                self.slots[evict as usize] = None;
-            }
-            self.slots[dest as usize] = Some(Arc::clone(&field));
-            self.fifo.push_back(dest);
+        if self.fifo.len() == self.capacity {
+            let evict = self.fifo.pop_front().expect("capacity ≥ 1");
+            self.slots[evict as usize] = None;
         }
+        self.slots[dest as usize] = Some(Arc::clone(&field));
+        self.fifo.push_back(dest);
         field
     }
 
@@ -625,7 +641,7 @@ impl RouteCache {
         self.fifo.is_empty()
     }
 
-    /// Configured capacity.
+    /// Most fields resident at once.
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -830,7 +846,7 @@ mod tests {
     #[test]
     fn cache_fifo_eviction_is_insertion_ordered() {
         let t = table();
-        let mut c = RouteCache::new(&t, 2);
+        let mut c = RouteCache::with_capacity(&t, 2);
         let _ = c.field(&t, 0);
         let _ = c.field(&t, 1);
         let _ = c.field(&t, 0); // hit: must NOT refresh 0's eviction slot
@@ -844,19 +860,30 @@ mod tests {
     }
 
     #[test]
-    fn cache_capacity_zero_never_memoizes() {
+    fn cache_fields_equal_fresh_dijkstra_for_any_capacity() {
+        // Residency changes which Dijkstra runs, never what it returns:
+        // a tiny cache, a small one and the map-derived one all serve the
+        // exact field `field_to` computes, over a random lookup sequence
+        // that revisits destinations.
         let t = table();
-        let mut c = RouteCache::new(&t, 0);
-        let a = c.field(&t, 3);
-        let b = c.field(&t, 3);
-        assert_eq!(a, b);
-        assert_eq!((c.hits(), c.misses(), c.len()), (0, 2, 0));
+        let derived = RouteCache::new(&t).capacity();
+        let mut rng = sov_math::SovRng::seed_from_u64(19);
+        let lookups: Vec<u32> = (0..400).map(|_| rng.index(t.len()) as u32).collect();
+        for capacity in [1, 8, derived] {
+            let mut c = RouteCache::with_capacity(&t, capacity);
+            for &dest in &lookups {
+                assert_eq!(*c.field(&t, dest), t.field_to(dest), "capacity {capacity}");
+                assert!(c.len() <= capacity);
+            }
+            assert_eq!(c.hits() + c.misses(), lookups.len() as u64);
+        }
     }
 
     #[test]
-    fn cache_unbounded_keeps_everything() {
+    fn cache_holds_every_field_of_a_map_that_fits_the_budget() {
         let t = table();
-        let mut c = RouteCache::new(&t, usize::MAX);
+        let mut c = RouteCache::new(&t);
+        assert_eq!(c.capacity(), t.len());
         for dest in 0..t.len() as u32 {
             let _ = c.field(&t, dest);
         }
@@ -865,6 +892,21 @@ mod tests {
         }
         assert_eq!(c.misses(), t.len() as u64);
         assert_eq!(c.hits(), t.len() as u64);
+        // The paper-calibrated 12 × 12 fleet grid (528 lanes) fits too.
+        let fleet = RouteTable::new(&grid_network(12, 12, 80.0, 2.5, 5.6));
+        assert_eq!(fleet.len(), 528);
+        assert_eq!(RouteCache::new(&fleet).capacity(), 528);
+    }
+
+    #[test]
+    fn cache_on_a_map_past_the_budget_stays_within_it() {
+        // 40 × 40 intersections: all 6 240 fields would take ≈ 311 MB.
+        let t = RouteTable::new(&grid_network(40, 40, 50.0, 2.5, 8.0));
+        let field_bytes = t.len() * std::mem::size_of::<f64>();
+        let c = RouteCache::new(&t);
+        assert!(c.capacity() < t.len(), "must evict on this map");
+        assert!(c.capacity() * field_bytes <= ROUTE_CACHE_BUDGET_BYTES);
+        assert!((c.capacity() + 1) * field_bytes > ROUTE_CACHE_BUDGET_BYTES);
     }
 
     #[test]

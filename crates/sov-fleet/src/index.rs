@@ -15,10 +15,11 @@
 //!   on the map bounds and `cell_m`; vehicles are inserted in ascending
 //!   id order by [`SpatialIndex::rebuild`], so bucket contents are
 //!   id-sorted and ring traversal enumerates candidates in a fixed order.
-//! * **The pruning bound is conservative and exact.** On maps whose lane
-//!   connections are geometrically contiguous
-//!   ([`RouteTable::max_connection_gap_m`]` == 0.0`), driving distance is
-//!   at least straight-line distance, and every vehicle in ring `r`
+//! * **The pruning bound is conservative and exact.** The index accepts
+//!   only maps whose lane connections are geometrically contiguous
+//!   ([`RouteTable::max_connection_gap_m`]` == 0.0`, asserted by
+//!   [`SpatialIndex::new`]). There driving distance is at least
+//!   straight-line distance, and every vehicle in ring `r`
 //!   (Chebyshev distance `r` in cells) is at least `(r − 1) · cell_m`
 //!   away in the plane. The search stops only when that bound **strictly**
 //!   exceeds the current k-th best driving distance — on ties it keeps
@@ -141,12 +142,21 @@ impl SpatialIndex {
     ///
     /// # Panics
     ///
-    /// Panics if `cell_m` is not a positive finite number.
+    /// Panics if `cell_m` is not a positive finite number, or if some
+    /// lane's end does not touch a successor's start
+    /// ([`RouteTable::max_connection_gap_m`]` > 0`): on such a map
+    /// straight-line distance no longer lower-bounds driving distance, and
+    /// the ring search could prune the true nearest vehicle.
     #[must_use]
     pub fn new(table: &RouteTable, cell_m: f64) -> Self {
         assert!(
             cell_m.is_finite() && cell_m > 0.0,
             "index cell size must be positive"
+        );
+        assert!(
+            table.max_connection_gap_m() == 0.0,
+            "spatial index needs touching lane connections (largest gap {} m)",
+            table.max_connection_gap_m()
         );
         let b = table.bounds();
         let span = |lo: f64, hi: f64| (((hi - lo) / cell_m).floor() as u32).saturating_add(1);
@@ -202,8 +212,8 @@ impl SpatialIndex {
     /// conflict-resolution fallback passes the claimed set). `out.evals`
     /// counts distance evaluations performed.
     ///
-    /// Exactness requires [`RouteTable::max_connection_gap_m`]` == 0.0`
-    /// (see the module docs); the caller gates index construction on that.
+    /// Exact because [`SpatialIndex::new`] only accepts maps with
+    /// [`RouteTable::max_connection_gap_m`]` == 0.0` (see the module docs).
     // A query is genuinely eight-dimensional (table, field, target, depth,
     // two predicates, output); bundling them into a struct would only move
     // the arguments.
@@ -335,6 +345,27 @@ mod tests {
             let got = out.get(0).map(|c| (c.distance_m, c.id));
             assert_eq!(got, want, "query {q}: index disagrees with linear scan");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "touching lane connections")]
+    fn gapped_map_is_rejected() {
+        use sov_world::map::{Lane, LaneId, LaneMap};
+        // Two parallel lanes 5 m apart, each connected to the other: a
+        // strongly connected map whose every connection jumps 5 m.
+        let mut map = LaneMap::new();
+        for (i, line) in [[(0.0, 0.0), (10.0, 0.0)], [(10.0, 5.0), (0.0, 5.0)]]
+            .into_iter()
+            .enumerate()
+        {
+            let lane = Lane::new(LaneId(i as u32), line.to_vec(), 2.0, 5.0).expect("valid");
+            map.insert(lane);
+        }
+        map.connect(LaneId(0), LaneId(1)).expect("lanes exist");
+        map.connect(LaneId(1), LaneId(0)).expect("lanes exist");
+        let t = RouteTable::new(&map);
+        assert_eq!(t.max_connection_gap_m(), 5.0);
+        let _ = SpatialIndex::new(&t, 10.0);
     }
 
     #[test]

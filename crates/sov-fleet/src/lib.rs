@@ -11,14 +11,17 @@
 //! * [`graph`] — [`graph::RouteTable`]: a `LaneMap` compiled to CSR
 //!   adjacency with on-demand binary-heap Dijkstra ([`graph::RouteField`]
 //!   per destination, `O(E log N)` per miss — no dense N×N matrix) behind
-//!   a deterministic FIFO-evicting [`graph::RouteCache`]; `O(log n)`
-//!   uniform position sampling and exact-arrival `advance_with` along
-//!   shortest paths.
+//!   a deterministic [`graph::RouteCache`] that sizes itself from the map
+//!   (every field resident within a fixed byte budget, FIFO eviction past
+//!   it); `O(log n)` uniform position sampling and exact-arrival
+//!   `advance_with` along shortest paths.
 //! * [`index`] — [`index::SpatialIndex`]: fixed-geometry grid buckets
-//!   over available vehicles; nearest-available queries expand rings of
-//!   buckets with an exact Euclidean lower bound instead of scanning the
-//!   whole fleet, with tie behavior (distance, then lower id) identical
-//!   to the linear scan.
+//!   (one street block per cell) over available vehicles;
+//!   nearest-available queries expand rings of buckets with an exact
+//!   Euclidean lower bound instead of scanning the whole fleet, with tie
+//!   behavior (distance, then lower id) identical to the linear scan. It
+//!   accepts only maps whose lane connections touch, which every
+//!   `grid_network` map does exactly.
 //! * [`request`] — [`request::RideGen`]: seeded Poisson ride demand with
 //!   origins/destinations uniform by arclength over the network.
 //! * [`vehicle`] — [`vehicle::FleetVehicle`]: the per-vehicle serving
@@ -28,22 +31,24 @@
 //!   deterministic re-dispatch.
 //! * [`sim`] — [`sim::FleetSim`]: the four-phase tick (serial arrivals,
 //!   indexed **sharded** dispatch with a serial FIFO commit, sharded
-//!   vehicle advance over `sov-runtime`'s `WorkerPool` with fixed
-//!   chunking, serial ordered merge) and the aggregate
-//!   [`sim::FleetReport`].
+//!   vehicle advance over `sov-runtime`'s `WorkerPool` in fixed chunks
+//!   of [`sim::ADVANCE_CHUNK`] vehicles and 16 requests, serial ordered
+//!   merge) and the aggregate
+//!   [`sim::FleetReport`]. [`sim::FleetConfig`] describes only the
+//!   workload: no field of it changes how a tick splits or caches its
+//!   work.
 //!
 //! # Determinism
 //!
 //! The fleet report is **byte-identical to the serial linear-scan
-//! reference for any dispatch mode, worker or shard count, and
-//! route-cache capacity**. The argument is the house invariant
-//! (DESIGN.md §8/§14/§15) applied to new job shapes: chunk boundaries
-//! depend only on input sizes and config; the parallel dispatch stage is
-//! a read-only search against a pre-dispatch snapshot whose results a
-//! serial pass commits in strict FIFO order; cache residency changes
-//! which Dijkstra runs, never the field values; and every stochastic or
-//! order-sensitive phase (demand, commit, summary merges, checksum) runs
-//! serially in a fixed order. The `fleet_matrix` bench bin and the
+//! reference for any dispatch mode and worker count**. The argument is
+//! the house invariant (DESIGN.md §8/§14/§15) applied to new job shapes:
+//! chunk boundaries depend only on input sizes and the fixed chunk
+//! constants; the parallel dispatch stage is a read-only search against a
+//! pre-dispatch snapshot whose results a serial pass commits in strict
+//! FIFO order; cache residency changes which Dijkstra runs, never the
+//! field values; and every stochastic or order-sensitive phase (demand,
+//! commit, summary merges, checksum) runs serially in a fixed order. The `fleet_matrix` bench bin and the
 //! crate's proptests gate on exactly this property.
 //!
 //! # Example

@@ -140,10 +140,10 @@ mod tests {
         let mut a = RideGen::new(7, 2.5, 100.0);
         let mut b = RideGen::new(7, 2.5, 100.0);
         let (mut out_a, mut out_b) = (Vec::new(), Vec::new());
-        let mut cache_a = RouteCache::new(&t, usize::MAX);
+        let mut cache_a = RouteCache::new(&t);
         // Different cache capacities must not change the trace: the cache
         // memoizes exact fields, it never changes a distance.
-        let mut cache_b = RouteCache::new(&t, 1);
+        let mut cache_b = RouteCache::with_capacity(&t, 1);
         for tick in 0..50 {
             a.generate(tick, &t, &mut cache_a, &mut out_a);
             b.generate(tick, &t, &mut cache_b, &mut out_b);
@@ -156,7 +156,7 @@ mod tests {
     fn poisson_mean_tracks_rate() {
         let t = table();
         let mut gen = RideGen::new(11, 3.0, 0.0);
-        let mut cache = RouteCache::new(&t, usize::MAX);
+        let mut cache = RouteCache::new(&t);
         let mut out = Vec::new();
         for tick in 0..2000 {
             gen.generate(tick, &t, &mut cache, &mut out);
@@ -169,7 +169,7 @@ mod tests {
     fn request_ids_are_dense_and_increasing() {
         let t = table();
         let mut gen = RideGen::new(3, 4.0, 50.0);
-        let mut cache = RouteCache::new(&t, 4);
+        let mut cache = RouteCache::new(&t);
         let mut out = Vec::new();
         for tick in 0..100 {
             gen.generate(tick, &t, &mut cache, &mut out);
@@ -183,7 +183,7 @@ mod tests {
     fn min_trip_is_mostly_respected() {
         let t = table();
         let mut gen = RideGen::new(5, 5.0, 120.0);
-        let mut cache = RouteCache::new(&t, usize::MAX);
+        let mut cache = RouteCache::new(&t);
         let mut out = Vec::new();
         for tick in 0..200 {
             gen.generate(tick, &t, &mut cache, &mut out);

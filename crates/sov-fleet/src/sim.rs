@@ -11,16 +11,16 @@
 //!    implementations produce identical bytes: the retained
 //!    [`DispatchMode::Linear`] reference (serial O(V) scan per request)
 //!    and the default [`DispatchMode::Indexed`] path — a spatial-index
-//!    ring search per request, fanned across the `WorkerPool` in
-//!    config-fixed chunks against a **pre-dispatch snapshot** of the
-//!    fleet, followed by a serial FIFO commit pass that resolves
+//!    ring search per request, fanned across the `WorkerPool` in chunks
+//!    of 16 requests (`DISPATCH_CHUNK`) against a **pre-dispatch snapshot**
+//!    of the fleet, followed by a serial FIFO commit pass that resolves
 //!    conflicts exactly as the incremental scan would (see
 //!    [`FleetSim::phase_dispatch`]).
-//! 3. **Advance** (sharded): the vehicle array is split into fixed-size
-//!    chunks via [`for_chunks`]; each chunk steps its vehicles. Chunk
-//!    boundaries depend only on fleet size and the configured chunk size
-//!    — never on the worker count — and a step touches nothing but its
-//!    own vehicle plus shared immutable state, so any pool produces the
+//! 3. **Advance** (sharded): the vehicle array is split into chunks of
+//!    [`ADVANCE_CHUNK`] vehicles via [`for_chunks`]; each chunk steps its
+//!    vehicles. Chunk boundaries depend only on the fleet size — never on
+//!    the worker count — and a step touches nothing but its own vehicle
+//!    plus shared immutable state, so any pool produces the
 //!    same bytes as the serial sweep (the DESIGN.md §8 argument applied
 //!    to a new job shape).
 //! 4. **Merge** (serial): completed-ride events drain in ascending
@@ -31,9 +31,12 @@
 //! Because phases 1 and 4 are serial, phase 3 is boundary-deterministic
 //! and write-disjoint, and phase 2's parallel stage is a read-only search
 //! against a snapshot whose results are committed serially in FIFO order,
-//! [`FleetSim::report`] is byte-identical for every dispatch mode, worker
-//! count, shard size, and route-cache capacity — the property the
-//! proptests and the `fleet_matrix` bench gate on.
+//! [`FleetSim::report`] is byte-identical for every dispatch mode and
+//! worker count — the property the proptests and the `fleet_matrix` bench
+//! gate on. The chunk sizes and the route cache's capacity only change how
+//! a tick splits or repeats its work, never a report byte, so they are
+//! fixed here (the cache sizes itself from the map) rather than
+//! configured.
 
 use crate::graph::{RouteCache, RouteField, RouteTable};
 use crate::index::{CandidateList, SpatialIndex, MAX_CANDIDATES};
@@ -46,6 +49,15 @@ use sov_vehicle::cost::TcoModel;
 use sov_world::map::grid_network;
 use std::collections::VecDeque;
 use std::sync::Arc;
+
+/// Vehicles per chunk of the sharded advance. Part of the workload's fixed
+/// shape: chunk boundaries depend only on the fleet size, never on the
+/// worker count.
+pub const ADVANCE_CHUNK: usize = 64;
+
+/// Queued requests per chunk of the sharded candidate search; fixed for
+/// the same reason as [`ADVANCE_CHUNK`].
+pub(crate) const DISPATCH_CHUNK: usize = 16;
 
 /// SplitMix64-style fold used for the report checksum and the stall-fault
 /// draw: cheap, stateless, and identical on every platform.
@@ -96,10 +108,7 @@ pub enum DispatchMode {
     /// Serial O(V) scan per request — the 0.9.0 reference semantics.
     Linear,
     /// Spatial-index ring search, sharded over the worker pool, with a
-    /// serial FIFO conflict-resolution commit. Falls back to `Linear`
-    /// when the map's lane connections are not geometrically contiguous
-    /// ([`RouteTable::max_connection_gap_m`]` > 0`), where the index's
-    /// Euclidean pruning bound would be unsound.
+    /// serial FIFO conflict-resolution commit.
     Indexed,
 }
 
@@ -163,19 +172,8 @@ pub struct FleetConfig {
     pub reserve_soc: f64,
     /// Control-kernel lookahead samples per driving tick.
     pub lookahead: u32,
-    /// Shard size: vehicles per parallel chunk. Part of the workload
-    /// definition — chunk boundaries must not depend on the worker count.
-    pub chunk: usize,
     /// Dispatcher implementation (byte-identical either way).
     pub dispatch: DispatchMode,
-    /// Shard size of the sharded candidate search: queued requests per
-    /// parallel chunk. Config-fixed for the same reason as `chunk`.
-    pub dispatch_chunk: usize,
-    /// Route-cache capacity in compiled fields (`usize::MAX` = unbounded,
-    /// `0` = memoization off). Changes work done, never bytes produced.
-    pub route_cache: usize,
-    /// Spatial-index bucket edge length (meters).
-    pub index_cell_m: f64,
     /// Consecutive stalled ticks before a not-yet-picked-up ride returns
     /// to the head of the queue (`None` disables the coupling).
     pub stall_requeue_ticks: Option<u64>,
@@ -212,11 +210,7 @@ impl FleetConfig {
             charge_rate_kw: 6.0,
             reserve_soc: 0.15,
             lookahead: 8,
-            chunk: 64,
             dispatch: DispatchMode::Indexed,
-            dispatch_chunk: 16,
-            route_cache: 256,
-            index_cell_m: 80.0,
             stall_requeue_ticks: Some(90),
             tco: TcoModel::tourist_site_defaults(),
             fault: None,
@@ -231,10 +225,10 @@ impl FleetConfig {
 ///
 /// Every field is computed on the serial phases in a fixed order, so two
 /// runs of the same [`FleetConfig`] — serial or sharded over any pool,
-/// linear or indexed dispatch, any route-cache capacity — compare equal
-/// field for field, bit for bit. Compare reports **before** querying
-/// percentiles: `Summary::percentile` sorts in place, which changes its
-/// internal (PartialEq-visible) state.
+/// linear or indexed dispatch — compare equal field for field, bit for
+/// bit. Compare reports **before** querying percentiles:
+/// `Summary::percentile` sorts in place, which changes its internal
+/// (PartialEq-visible) state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetReport {
     /// Fleet size.
@@ -290,7 +284,7 @@ pub struct FleetSim {
     cfg: FleetConfig,
     table: RouteTable,
     cache: RouteCache,
-    index: Option<SpatialIndex>,
+    index: SpatialIndex,
     gen: RideGen,
     vehicles: Vec<FleetVehicle>,
     queue: VecDeque<RideRequest>,
@@ -321,19 +315,18 @@ impl FleetSim {
     /// Builds the street grid, compiles the routing tables, and spreads
     /// the fleet uniformly by arclength over the network.
     ///
+    /// The spatial index buckets the grid one block per cell. A grid
+    /// lane's end and its successor's start are the same intersection, so
+    /// the index's contiguity precondition holds exactly.
+    ///
     /// # Panics
     ///
-    /// Panics on a degenerate configuration (no vehicles, non-positive
-    /// tick, chunk, or index cell, or a grid smaller than 2×2).
+    /// Panics on a degenerate configuration (no vehicles, a non-positive
+    /// tick or block length, or a grid smaller than 2×2).
     #[must_use]
     pub fn new(cfg: FleetConfig) -> Self {
         assert!(cfg.vehicles > 0, "a fleet needs at least one vehicle");
         assert!(cfg.tick_s > 0.0, "tick length must be positive");
-        assert!(cfg.chunk > 0, "chunk size must be positive");
-        assert!(
-            cfg.dispatch_chunk > 0,
-            "dispatch chunk size must be positive"
-        );
         let map = grid_network(
             cfg.grid_rows,
             cfg.grid_cols,
@@ -342,14 +335,8 @@ impl FleetSim {
             cfg.lane_speed_mps,
         );
         let table = RouteTable::new(&map);
-        // The index's ring pruning lower-bounds road distance with
-        // straight-line distance, which is only sound when successive
-        // lanes touch. grid_network guarantees it exactly; for any other
-        // geometry the indexed mode silently serves via the linear
-        // reference (reports are mode-invariant, so this is safe).
-        let index = (cfg.dispatch == DispatchMode::Indexed && table.max_connection_gap_m() == 0.0)
-            .then(|| SpatialIndex::new(&table, cfg.index_cell_m));
-        let cache = RouteCache::new(&table, cfg.route_cache);
+        let index = SpatialIndex::new(&table, cfg.block_m);
+        let cache = RouteCache::new(&table);
         let vehicles: Vec<FleetVehicle> = (0..cfg.vehicles)
             .map(|i| {
                 let u = (f64::from(i) + 0.5) / f64::from(cfg.vehicles);
@@ -456,10 +443,9 @@ impl FleetSim {
     pub fn phase_dispatch(&mut self, pool: Option<&WorkerPool>) {
         assert_eq!(self.phase, 1, "phase_dispatch out of order");
         self.phase = 2;
-        if self.index.is_some() {
-            self.dispatch_indexed(pool);
-        } else {
-            self.dispatch_linear();
+        match self.cfg.dispatch {
+            DispatchMode::Linear => self.dispatch_linear(),
+            DispatchMode::Indexed => self.dispatch_indexed(pool),
         }
     }
 
@@ -483,7 +469,7 @@ impl FleetSim {
             fault: self.cfg.fault.as_ref(),
             stall_requeue_ticks: self.cfg.stall_requeue_ticks,
         };
-        for_chunks(pool, &mut self.vehicles, self.cfg.chunk, |_, chunk| {
+        for_chunks(pool, &mut self.vehicles, ADVANCE_CHUNK, |_, chunk| {
             for v in chunk {
                 v.step(&params);
             }
@@ -537,8 +523,7 @@ impl FleetSim {
     }
 
     /// The retained linear-scan dispatcher: the executable specification
-    /// of dispatch semantics, and the serving path for maps the spatial
-    /// index cannot prune soundly.
+    /// of dispatch semantics.
     fn dispatch_linear(&mut self) {
         while let Some(&req) = self.queue.front() {
             let field = self.cache.field(&self.table, req.origin.lane);
@@ -602,11 +587,7 @@ impl FleetSim {
             let to_dest = self.cache.field(&self.table, dest);
             self.fields.push((to_origin, to_dest));
         }
-        let index = self
-            .index
-            .as_mut()
-            .expect("indexed dispatch requires index");
-        index.rebuild(
+        self.index.rebuild(
             &self.table,
             self.vehicles
                 .iter()
@@ -617,36 +598,31 @@ impl FleetSim {
         self.cands.clear();
         self.cands.resize(batch_n, CandidateList::default());
         {
-            let index: &SpatialIndex = self.index.as_ref().expect("built above");
+            let index = &self.index;
             let table = &self.table;
             let batch: &[RideRequest] = &self.batch;
             let fields: &[(Arc<RouteField>, Arc<RouteField>)] = &self.fields;
             let vehicles: &[FleetVehicle] = &self.vehicles;
-            for_chunks(
-                pool,
-                &mut self.cands,
-                self.cfg.dispatch_chunk,
-                |start, chunk| {
-                    for (k, out) in chunk.iter_mut().enumerate() {
-                        let i = start + k;
-                        // Request i can lose at most i candidates to
-                        // earlier commits, so the top-(i + 1) suffice for
-                        // an exact winner; deeper batches rely on the
-                        // fallback re-search. Depth depends only on the
-                        // batch position — never on the worker count.
-                        let depth = (i + 1).min(MAX_CANDIDATES);
-                        index.nearest(
-                            table,
-                            &fields[i].0,
-                            batch[i].origin,
-                            depth,
-                            |id| vehicles[id as usize].pos,
-                            |_| false,
-                            out,
-                        );
-                    }
-                },
-            );
+            for_chunks(pool, &mut self.cands, DISPATCH_CHUNK, |start, chunk| {
+                for (k, out) in chunk.iter_mut().enumerate() {
+                    let i = start + k;
+                    // Request i can lose at most i candidates to earlier
+                    // commits, so the top-(i + 1) suffice for an exact
+                    // winner; deeper batches rely on the fallback
+                    // re-search. Depth depends only on the batch position
+                    // — never on the worker count.
+                    let depth = (i + 1).min(MAX_CANDIDATES);
+                    index.nearest(
+                        table,
+                        &fields[i].0,
+                        batch[i].origin,
+                        depth,
+                        |id| vehicles[id as usize].pos,
+                        |_| false,
+                        out,
+                    );
+                }
+            });
         }
         // Serial FIFO commit: conflict resolution in request order.
         let stamp = self.tick + 1;
@@ -665,9 +641,8 @@ impl FleetSim {
                     // batch_n ≤ available and only i < batch_n claims
                     // happened so far.
                     self.stats.fallback_searches += 1;
-                    let index = self.index.as_ref().expect("built above");
                     let mut out = CandidateList::default();
-                    index.nearest(
+                    self.index.nearest(
                         &self.table,
                         &self.fields[i].0,
                         self.batch[i].origin,

@@ -416,7 +416,7 @@ mod tests {
 
     fn some_request(table: &RouteTable) -> RideRequest {
         let mut gen = RideGen::new(1, 1.0, 100.0);
-        let mut cache = crate::graph::RouteCache::new(table, usize::MAX);
+        let mut cache = crate::graph::RouteCache::new(table);
         let mut out = Vec::new();
         let mut tick = 0;
         while out.is_empty() {

@@ -3,30 +3,41 @@
 //! 1. **Byte-identity**: the fleet report is identical — every `f64`
 //!    bit-equal, every `Summary` sample in the same order — whether the
 //!    vehicle advance runs serially or sharded over a `WorkerPool` of any
-//!    size, for any shard (chunk) size, with or without stall-fault
-//!    injection on a subset of vehicles.
+//!    size, with or without stall-fault injection on a subset of
+//!    vehicles. Fleets range past `ADVANCE_CHUNK` vehicles, so the
+//!    advance splits into several chunks.
 //! 2. **Dispatch equivalence**: the indexed + sharded dispatcher produces
 //!    the same bytes as the retained serial linear-scan reference across
-//!    worker counts, dispatch shard sizes, spatial-index cell sizes, and
-//!    route-cache capacities (including capacity 1 and unbounded), with
-//!    the stall-requeue coupling live — and its deterministic work
-//!    counters are identical for every worker count.
+//!    worker counts and block lengths (the spatial index's cell size),
+//!    with the stall-requeue coupling live — and its deterministic work
+//!    counters are identical for every worker count. Stall windows that
+//!    end on a long queue make dispatch batches longer than
+//!    `DISPATCH_CHUNK` requests, so the candidate search splits too.
 //! 3. **Allocation-free steady state**: after a warm-up tick, the control
 //!    kernel's per-thread arena serves every scratch take from its pool —
 //!    zero heap allocations per tick — with the spatial index active.
+//!
+//! One structural fact the fleet relies on rides along: every
+//! `grid_network` map is geometrically contiguous (the spatial index's
+//! precondition), for any size and block length.
 
-use sov_fleet::sim::{DispatchMode, FleetConfig, FleetFaultPlan, FleetSim};
+use sov_fleet::graph::RouteTable;
+use sov_fleet::sim::{DispatchMode, FleetConfig, FleetFaultPlan, FleetSim, ADVANCE_CHUNK};
 use sov_fleet::vehicle::{reset_scratch_stats, scratch_stats};
 use sov_runtime::pool::WorkerPool;
 use sov_testkit::prelude::*;
+use sov_world::map::grid_network;
+
+/// Fleet sizes the byte-identity cases draw from: up to three advance
+/// chunks, so most cases shard the advance.
+const MAX_VEHICLES: u32 = 3 * ADVANCE_CHUNK as u32;
 
 /// A small-but-busy fleet the property cases perturb: every run completes
 /// rides, exercises dispatch queues, and finishes in milliseconds.
-fn base_cfg(seed: u64, vehicles: u32, chunk: usize) -> FleetConfig {
+fn base_cfg(seed: u64, vehicles: u32) -> FleetConfig {
     FleetConfig {
         seed,
         ticks: 180,
-        chunk,
         grid_rows: 4,
         grid_cols: 4,
         block_m: 60.0,
@@ -42,16 +53,15 @@ proptest! {
     #[test]
     fn report_is_byte_identical_across_workers_and_shards(
         seed in 0u64..u64::MAX,
-        vehicles in 8u32..40,
-        chunk in 1usize..48,
+        vehicles in 8u32..MAX_VEHICLES,
     ) {
-        let cfg = base_cfg(seed, vehicles, chunk);
+        let cfg = base_cfg(seed, vehicles);
         let reference = FleetSim::new(cfg.clone()).run(None);
         prop_assert!(reference.rides_completed > 0, "workload too idle to test");
         for lanes in [1usize, 2, 4, 8] {
             let pool = WorkerPool::new(lanes);
             let sharded = FleetSim::new(cfg.clone()).run(Some(&pool));
-            prop_assert_eq!(&reference, &sharded, "lanes {}, chunk {}", lanes, chunk);
+            prop_assert_eq!(&reference, &sharded, "lanes {}, vehicles {}", lanes, vehicles);
         }
     }
 
@@ -60,7 +70,7 @@ proptest! {
         seed in 0u64..u64::MAX,
         fault_seed in 0u64..u64::MAX,
         fraction in 0.1f64..0.9,
-        chunk in 1usize..48,
+        vehicles in 8u32..MAX_VEHICLES,
     ) {
         let cfg = FleetConfig {
             fault: Some(FleetFaultPlan {
@@ -72,7 +82,7 @@ proptest! {
             // Short enough to fire inside the window, so the requeue
             // coupling is exercised under sharding too.
             stall_requeue_ticks: Some(20),
-            ..base_cfg(seed, 24, chunk)
+            ..base_cfg(seed, vehicles)
         };
         let reference = FleetSim::new(cfg.clone()).run(None);
         prop_assert!(reference.stalled_ticks > 0, "fault window never stalled anyone");
@@ -85,9 +95,29 @@ proptest! {
 
     #[test]
     fn checksum_is_sensitive_to_the_seed(seed in 0u64..u64::MAX - 1) {
-        let a = FleetSim::new(base_cfg(seed, 16, 8)).run(None);
-        let b = FleetSim::new(base_cfg(seed + 1, 16, 8)).run(None);
+        let a = FleetSim::new(base_cfg(seed, 16)).run(None);
+        let b = FleetSim::new(base_cfg(seed + 1, 16)).run(None);
         prop_assert!(a.checksum != b.checksum, "adjacent seeds collided");
+    }
+
+    #[test]
+    fn grid_network_connections_touch_exactly(
+        rows in 2u32..16,
+        cols in 2u32..16,
+        block_m in 0.5f64..250.0,
+    ) {
+        // A lane's end and its successor's start are the same
+        // intersection, computed by the same expression: the gap is 0.0
+        // exactly, not merely within rounding, for non-integer blocks too.
+        let table = RouteTable::new(&grid_network(rows, cols, block_m, 2.5, 5.6));
+        prop_assert_eq!(
+            table.max_connection_gap_m(),
+            0.0,
+            "{}×{} grid, block {} m",
+            rows,
+            cols,
+            block_m
+        );
     }
 }
 
@@ -98,16 +128,12 @@ proptest! {
     // the serial linear-scan reference across every configuration axis,
     // and its work counters cannot see the worker pool.
     #[test]
-    fn dispatch_equivalence_across_modes_workers_and_caches(
+    fn dispatch_equivalence_across_modes_workers_and_block_sizes(
         seed in 0u64..u64::MAX,
-        vehicles in 8u32..48,
-        chunk in 1usize..48,
-        dispatch_chunk in 1usize..24,
-        cache_axis in 0usize..3,
-        index_cell_m in 30.0f64..150.0,
+        vehicles in 8u32..MAX_VEHICLES,
+        block_m in 30.0f64..150.0,
         fault_axis in 0u32..2,
     ) {
-        let route_cache = [1usize, 8, usize::MAX][cache_axis];
         let fault = (fault_axis == 1).then_some(FleetFaultPlan {
             seed: seed ^ 0xFA17,
             from_tick: 40,
@@ -118,15 +144,13 @@ proptest! {
             dispatch: DispatchMode::Linear,
             stall_requeue_ticks: Some(20),
             fault,
-            route_cache,
-            ..base_cfg(seed, vehicles, chunk)
+            block_m,
+            ..base_cfg(seed, vehicles)
         };
         let reference = FleetSim::new(linear_cfg.clone()).run(None);
         prop_assert!(reference.rides_completed > 0, "workload too idle to test");
         let indexed_cfg = FleetConfig {
             dispatch: DispatchMode::Indexed,
-            dispatch_chunk,
-            index_cell_m,
             ..linear_cfg
         };
         let mut serial_stats = None;
@@ -136,8 +160,8 @@ proptest! {
             let report = sim.run(pool.as_ref());
             prop_assert_eq!(
                 &reference, &report,
-                "indexed != linear (lanes {}, dchunk {}, cache {}, cell {})",
-                lanes, dispatch_chunk, route_cache, index_cell_m
+                "indexed != linear (lanes {}, vehicles {}, block {} m)",
+                lanes, vehicles, block_m
             );
             let stats = sim.dispatch_stats();
             match serial_stats {
@@ -158,7 +182,7 @@ fn steady_state_fleet_tick_is_allocation_free() {
     // every control-kernel take. base_cfg defaults to indexed dispatch,
     // so the spatial index (rebuild + ring search) is on the measured
     // path.
-    let mut sim = FleetSim::new(base_cfg(7, 32, 8));
+    let mut sim = FleetSim::new(base_cfg(7, 32));
     assert_eq!(sim.config().dispatch, DispatchMode::Indexed);
     // Warm-up: enough ticks for vehicles to start driving (the kernel
     // only runs on driving ticks) and for the arena to pool its buffer.

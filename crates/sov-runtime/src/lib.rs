@@ -26,9 +26,13 @@
 //!   recycle them at frame end with their capacity intact.
 //!
 //! The perception (`sov-perception`) and LiDAR (`sov-lidar`) hot kernels
-//! accept an optional pool and arena; `sov-core` threads a
-//! [`PerfContext`] through `Sov::drive_with_plan`, and [`ledger`]
-//! attributes each frame's latency to compute, queue and stall time.
+//! accept an optional pool and arena (the `perf_matrix` chain passes
+//! both). `sov-core` threads a [`PerfContext`] through
+//! `Sov::drive_with_plan`: the drive takes its buffers from the context's
+//! arena, and a pipelined drive hosts its stage nodes on the context's
+//! pool lanes — no drive stage runs a pooled kernel, so a drive's only
+//! parallelism is across frames. [`ledger`] attributes each frame's
+//! latency to compute, queue and stall time.
 
 #![deny(missing_docs)]
 
@@ -41,16 +45,19 @@ pub mod queue;
 use pipeline::Placement;
 use std::sync::Arc;
 
-/// The performance context threaded through the hot path: an optional
-/// worker pool (serial when absent), the frame arena, and the inter-frame
-/// pipeline depth.
+/// The performance context of a drive: the frame arena its buffers come
+/// from, the inter-frame pipeline depth, and the worker pool whose lanes
+/// host the stage nodes when that depth takes effect (see
+/// [`PerfContext::stage_placement`]).
 ///
-/// Cloning is cheap: the pool is shared, the arena is per-clone (arenas
-/// are deliberately not `Sync`; each thread of control owns its own).
+/// The pool serves only those stage lanes — no drive stage runs a pooled
+/// kernel — so a context with pipeline depth 1 runs the whole drive on
+/// the calling thread, pool or no pool. Every context drives bit for bit
+/// the same.
 #[derive(Debug, Default)]
 pub struct PerfContext {
-    /// Worker pool; `None` runs every kernel serially (the reference
-    /// execution that all pooled runs must match bit for bit).
+    /// Worker pool hosting the stage lanes of a pipelined drive; `None`
+    /// runs every stage inline (the serial reference schedule).
     pub pool: Option<Arc<pool::WorkerPool>>,
     /// Reusable per-frame scratch buffers.
     pub arena: arena::FrameArena,
@@ -78,17 +85,6 @@ impl PerfContext {
     #[must_use]
     pub fn serial() -> Self {
         Self::default()
-    }
-
-    /// A context backed by a pool with `workers` parallel lanes (no
-    /// inter-frame pipelining).
-    #[must_use]
-    pub fn with_workers(workers: usize) -> Self {
-        Self {
-            pool: Some(Arc::new(pool::WorkerPool::new(workers))),
-            pipeline_depth: 1,
-            ..Self::default()
-        }
     }
 
     /// A context that pipelines up to `depth` in-flight frames across the
@@ -188,13 +184,6 @@ mod tests {
     }
 
     #[test]
-    fn worker_context_reports_lanes() {
-        let ctx = PerfContext::with_workers(3);
-        assert_eq!(ctx.pool().unwrap().lanes(), 3);
-        assert_eq!(ctx.pipeline_depth(), 1, "no inter-frame pipelining");
-    }
-
-    #[test]
     fn pipeline_context_has_four_lanes_and_the_depth() {
         let ctx = PerfContext::with_pipeline(3);
         assert_eq!(ctx.pool().unwrap().lanes(), 4, "front-end lane included");
@@ -230,7 +219,7 @@ mod tests {
         );
         assert_eq!(PerfContext::with_pipeline(3).stage_placement(), [Lane; 3]);
         assert_eq!(
-            PerfContext::with_workers(8).stage_placement(),
+            PerfContext::with_pipeline_workers(1, 8).stage_placement(),
             [Inline; 3],
             "depth 1"
         );

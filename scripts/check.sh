@@ -87,7 +87,8 @@ perf_json="$(mktemp)"
 pipeline_json="$(mktemp)"
 fault_json="$(mktemp)"
 scenario_json="$(mktemp)"
-trap 'rm -f "$perf_json" "$pipeline_json" "$fault_json" "$scenario_json"' EXIT
+fleet_out="$(mktemp)"
+trap 'rm -f "$perf_json" "$pipeline_json" "$fault_json" "$scenario_json" "$fleet_out"' EXIT
 ./target/release/perf_matrix --smoke --json "$perf_json"
 checksums() { grep -o '"checksum": "[0-9a-f]*"' "$1" | sort -u; }
 committed="$(checksums BENCH_perf.json)"
@@ -140,26 +141,41 @@ fi
 echo "scenario digest gate: output equals BENCH_scenarios.json byte for byte"
 
 echo "== fleet determinism proptests (byte-identity across workers × =="
-echo "== shard sizes × fault injection; allocation-free steady state) =="
+echo "== fleet sizes × fault injection; allocation-free steady state) =="
 cargo test --offline -q -p sov-fleet --test proptests
 
 echo "== fleet dispatch-equivalence proptest (indexed + sharded vs the =="
-echo "== serial linear scan across workers × dispatch shards × route-  =="
-echo "== cache capacities × index cell sizes × stall requeues)         =="
+echo "== serial linear scan across workers × fleet sizes × block      =="
+echo "== lengths × stall requeues)                                    =="
 cargo test --offline -q -p sov-fleet --test proptests dispatch_equivalence
 
 echo "== fleet_matrix smoke (ride serving with the spatial index on: one =="
 echo "== linear reference cell + the indexed worker sweep; exits non-    =="
 echo "== zero on any report diverging from the reference, work counters  =="
-echo "== that see the pool, or an eval reduction below 2x)               =="
+echo "== that see the pool, or an eval reduction below 2x; then it must  =="
+echo "== print the smoke_checksum committed in BENCH_fleet.json)         =="
 if [ "$(nproc 2>/dev/null || echo 0)" -lt 3 ]; then
   echo "warning: host has < 3 cores — fleet_matrix throughput gate is informational only"
 fi
-./target/release/fleet_matrix --smoke
+fleet_checksum="$(grep -o '"smoke_checksum": "[0-9a-f]*"' BENCH_fleet.json | grep -o '[0-9a-f]\{16\}' || true)"
+if [ -z "$fleet_checksum" ]; then
+  echo "fleet digest gate: BENCH_fleet.json has no smoke_checksum"
+  exit 1
+fi
+fleet_smoke() {
+  ./target/release/fleet_matrix --smoke "$@" | tee "$fleet_out"
+  if ! grep -q "checksum $fleet_checksum" "$fleet_out"; then
+    echo "fleet digest gate: smoke run did not print the committed checksum $fleet_checksum (BENCH_fleet.json)"
+    exit 1
+  fi
+  echo "fleet digest gate: smoke run printed the committed checksum $fleet_checksum"
+}
+fleet_smoke
 
 echo "== fleet_matrix smoke, index off (pure linear-scan sweep: the =="
-echo "== sharded advance must stay byte-identical without the index) =="
-./target/release/fleet_matrix --smoke --dispatch linear
+echo "== sharded advance must stay byte-identical without the index, =="
+echo "== and print the same committed checksum)                      =="
+fleet_smoke --dispatch linear
 
 echo "== perfbench digest gate (each workload at seed 42, shortest run; =="
 echo "== its result line must read \"correct\": true, which needs the =="

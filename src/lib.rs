@@ -28,9 +28,9 @@
 //! * [`fleet`] — fleet-scale ride serving: seeded Poisson demand over the
 //!   lane graph, nearest-available dispatch via a deterministic spatial
 //!   index with a sharded candidate search and serial FIFO commit, sparse
-//!   on-demand routing behind a FIFO route cache, and vehicle ticks
-//!   sharded across the worker pool — reports byte-identical for any
-//!   dispatch mode, worker count, and cache capacity.
+//!   on-demand routing behind a route cache sized from the map, and
+//!   vehicle ticks sharded across the worker pool — reports
+//!   byte-identical for any dispatch mode and worker count.
 //! * [`runtime`] — the deterministic concurrency substrate: worker pool,
 //!   frame pipeline, arenas, and the latency ledger.
 //!
