@@ -5,7 +5,9 @@
 //!    vehicle advance runs serially or sharded over a `WorkerPool` of any
 //!    size, with or without stall-fault injection on a subset of
 //!    vehicles. Fleets range past `ADVANCE_CHUNK` vehicles, so the
-//!    advance splits into several chunks.
+//!    advance splits into several chunks, and the fault-free cases'
+//!    demand bursts past `DISPATCH_CHUNK` requests a tick, so the
+//!    candidate search does too.
 //! 2. **Dispatch equivalence**: the indexed + sharded dispatcher produces
 //!    the same bytes as the retained serial linear-scan reference across
 //!    worker counts and block lengths (the spatial index's cell size),
@@ -41,7 +43,10 @@ fn base_cfg(seed: u64, vehicles: u32) -> FleetConfig {
         grid_rows: 4,
         grid_cols: 4,
         block_m: 60.0,
-        // Over-drive demand so queues form and dispatch order matters.
+        // ~2.7× the calibrated demand: the queue grows, so FIFO dispatch
+        // order matters, but each tick's batch stays short (at most 9
+        // requests over the byte-identity cases), inside one
+        // `DISPATCH_CHUNK`.
         requests_per_tick: f64::from(vehicles) * 0.012,
         ..FleetConfig::perceptin_fleet(vehicles)
     }
@@ -55,7 +60,14 @@ proptest! {
         seed in 0u64..u64::MAX,
         vehicles in 8u32..MAX_VEHICLES,
     ) {
-        let cfg = base_cfg(seed, vehicles);
+        // ~24 requests a tick: the first ticks meet an idle fleet, so
+        // fleets of 17 or more dispatch batches longer than
+        // `DISPATCH_CHUNK` (every such case here does, at 19–34 requests)
+        // and the sharded candidate search splits into chunks.
+        let cfg = FleetConfig {
+            requests_per_tick: 24.0,
+            ..base_cfg(seed, vehicles)
+        };
         let reference = FleetSim::new(cfg.clone()).run(None);
         prop_assert!(reference.rides_completed > 0, "workload too idle to test");
         for lanes in [1usize, 2, 4, 8] {

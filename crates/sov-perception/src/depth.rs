@@ -14,7 +14,7 @@
 //! lane granularity (Sec. III-D); the experiments here quantify how quickly
 //! stereo desynchronization destroys that budget.
 
-use crate::image::GrayImage;
+use crate::image::{GrayImage, LANES};
 use sov_math::{Pose2, SovRng};
 use sov_runtime::arena::FrameArena;
 use sov_runtime::pool::{for_chunks, map_reduce_chunks, WorkerPool};
@@ -213,9 +213,12 @@ impl DenseStereoMatcher {
     /// Support-point grid rows (phase 1) and scanline interpolation rows
     /// (phase 2) are chunked with fixed boundaries and merged in ascending
     /// order; the vertical fill (phase 3) is a cheap single serial pass.
-    /// The result is bit-identical to the serial matcher for any worker
-    /// count. The disparity plane is borrowed from `arena` when supplied;
-    /// recycle it after use via [`DisparityMap::into_raw`].
+    /// Phase 1 matches on zero-padded copies of the pair, so every block
+    /// reads contiguous rows, including blocks whose disparity reaches
+    /// past the left edge. The result is bit-identical to the serial
+    /// matcher for any worker count. The disparity plane and the padded
+    /// copies are borrowed from `arena` when supplied; recycle the map
+    /// after use via [`DisparityMap::into_raw`].
     ///
     /// # Panics
     ///
@@ -234,7 +237,9 @@ impl DenseStereoMatcher {
             "stereo pair must be rectified to equal sizes"
         );
         let (w, h) = (left.width(), left.height());
-        let r = self.block_radius as isize;
+        let r = self.block_radius;
+        let border = self.padding();
+        let (left_pad, right_pad) = (left.padded(border, arena), right.padded(border, arena));
         // Phase 1: support points on a sparse grid. Each chunk of grid rows
         // emits its candidates in (y, x) scan order; the ascending merge
         // reproduces the serial iteration exactly.
@@ -248,10 +253,14 @@ impl DenseStereoMatcher {
             GRID_ROWS_PER_CHUNK,
             |_, ys| {
                 let mut rows = Vec::new();
+                let mut sads = vec![0.0f32; self.disparities().max(LANES)];
                 for &y in ys {
                     let mut x = self.grid_step;
                     while x + self.grid_step < w {
-                        if let Some(d) = self.match_block(left, right, x as isize, y as isize, r) {
+                        // The block's top-left pixel in the padded copies.
+                        let corner = (x + border[0] - r, y);
+                        if let Some(d) = self.match_block(&left_pad, &right_pad, corner, &mut sads)
+                        {
                             rows.push((x, y, d));
                         }
                         x += self.grid_step;
@@ -265,6 +274,10 @@ impl DenseStereoMatcher {
                 acc
             },
         );
+        if let Some(arena) = arena {
+            arena.recycle(left_pad.into_raw());
+            arena.recycle(right_pad.into_raw());
+        }
         // Phase 2: scanline interpolation between support points. Chunks
         // cover whole rows, so every write stays inside its own chunk.
         let mut data: Vec<f32> = match arena {
@@ -302,82 +315,67 @@ impl DenseStereoMatcher {
         }
     }
 
-    /// SAD block match of the left block at `(x, y)` against right-image
-    /// candidates; returns the disparity if it passes the uniqueness test.
+    /// The zero border of the padded copies, `[left, top, right, bottom]`:
+    /// the block radius all round, plus room on the left for the widest
+    /// disparity a block of lanes evaluates.
+    fn padding(&self) -> [usize; 4] {
+        let r = self.block_radius;
+        [r + self.disparities().max(LANES) - 1, r, r, r]
+    }
+
+    /// Number of disparities searched, `0..=max_disparity`.
+    fn disparities(&self) -> usize {
+        self.max_disparity + 1
+    }
+
+    /// SAD block match of the left block whose top-left pixel is `(x, y)`
+    /// in the padded copies (made by [`Self::compute_with`]) against
+    /// right-image candidates; returns the disparity if it passes the
+    /// uniqueness test. `sads` holds `max(disparities, LANES)` slots.
+    ///
+    /// Disparities are matched in blocks of [`LANES`]: lane `j` of the
+    /// block at `d0` holds disparity `d0 + LANES − 1 − j`, so the lanes
+    /// read one contiguous right-row window and share each left-pixel
+    /// load. Each lane adds its `|l − r|` terms in the `(dy, dx)` order of
+    /// the per-disparity loop; the last block ends at the last disparity,
+    /// overlapping the block before it, and the best/second scan then
+    /// consumes every disparity once, in ascending order.
     fn match_block(
         &self,
         left: &GrayImage,
         right: &GrayImage,
-        x: isize,
-        y: isize,
-        r: isize,
+        (x, y): (usize, usize),
+        sads: &mut [f32],
     ) -> Option<f32> {
-        let (w, h) = (left.width() as isize, left.height() as isize);
-        let interior = x - r >= 0 && x + r < w && y - r >= 0 && y + r < h;
-        let side = (2 * r + 1) as usize;
+        let side = 2 * self.block_radius + 1;
+        let (w, n) = (left.width(), self.disparities());
+        let mut k = 0;
+        while k < n {
+            let d0 = k.min(n.saturating_sub(LANES));
+            let mut acc = [0.0f32; LANES];
+            for dy in 0..side {
+                let l0 = (y + dy) * w + x;
+                let lrow = &left.data()[l0..][..side];
+                let rrow = &right.data()[l0 - d0 - (LANES - 1)..][..side + LANES - 1];
+                for (&l, window) in lrow.iter().zip(rrow.windows(LANES)) {
+                    acc = std::array::from_fn(|lane| acc[lane] + (l - window[lane]).abs());
+                }
+            }
+            // `sads` runs in descending disparity, so the block's lanes
+            // land side by side.
+            let top = sads.len() - d0 - LANES;
+            sads[top..top + LANES].copy_from_slice(&acc);
+            k = d0 + LANES;
+        }
         let mut best = (0usize, f32::INFINITY);
         let mut second = f32::INFINITY;
-        let update = |d: usize, sad: f32, best: &mut (usize, f32), second: &mut f32| {
+        for (d, &sad) in sads.iter().rev().take(n).enumerate() {
             if sad < best.1 {
-                *second = best.1;
-                *best = (d, sad);
-            } else if sad < *second {
-                *second = sad;
+                second = best.1;
+                best = (d, sad);
+            } else if sad < second {
+                second = sad;
             }
-        };
-        let mut d = 0usize;
-        if interior {
-            // Batch candidate disparities four at a time: four independent
-            // SAD accumulator lanes share each left-row load (the same
-            // batching pattern as `GrayImage::correlate_run`). Each lane
-            // accumulates its |l - r| terms in the exact (dy, dx) order of
-            // the scalar loop, and the streaming best/second update still
-            // consumes the lanes in ascending disparity order, so the
-            // result is bit-identical to the unbatched matcher.
-            while d + 3 <= self.max_disparity && (d + 3) as isize <= x - r {
-                let mut sads = [0.0f32; 4];
-                for dy in -r..=r {
-                    let l0 = ((y + dy) * w + x - r) as usize;
-                    let lrow = &left.data()[l0..l0 + side];
-                    let rbase = l0 - d - 3;
-                    let rrow = &right.data()[rbase..rbase + side + 3];
-                    for (i, l) in lrow.iter().enumerate() {
-                        for (lane, s) in sads.iter_mut().enumerate() {
-                            *s += (l - rrow[i + 3 - lane]).abs();
-                        }
-                    }
-                }
-                for (lane, sad) in sads.into_iter().enumerate() {
-                    update(d + lane, sad, &mut best, &mut second);
-                }
-                d += 4;
-            }
-        }
-        // Scalar tail: the remaining disparities plus every border block.
-        while d <= self.max_disparity {
-            let mut sad = 0.0f32;
-            if interior && d as isize <= x - r {
-                // Both blocks are fully inside the pair: accumulate the
-                // same (dy, dx) order straight from the backing slices.
-                for dy in -r..=r {
-                    let l0 = ((y + dy) * w + x - r) as usize;
-                    let lrow = &left.data()[l0..l0 + side];
-                    let rrow = &right.data()[l0 - d..l0 - d + side];
-                    for (l, rr) in lrow.iter().zip(rrow) {
-                        sad += (l - rr).abs();
-                    }
-                }
-            } else {
-                for dy in -r..=r {
-                    for dx in -r..=r {
-                        let l = left.get(x + dx, y + dy);
-                        let rr = right.get(x + dx - d as isize, y + dy);
-                        sad += (l - rr).abs();
-                    }
-                }
-            }
-            update(d, sad, &mut best, &mut second);
-            d += 1;
         }
         // Strict inequality with a small margin rejects texture-free ties
         // (a flat block matches every disparity equally well).
@@ -413,6 +411,7 @@ fn interpolate_row(row: &mut [f32]) {
 mod tests {
     use super::*;
     use crate::image::render_scene;
+    use sov_testkit::prelude::*;
     use sov_world::scenario::Scenario;
 
     #[test]
@@ -582,74 +581,119 @@ mod tests {
         arena.recycle(again.into_raw());
     }
 
-    #[test]
-    fn batched_interior_sad_matches_scalar_reference() {
-        // A scalar re-statement of the original per-disparity SAD loop
-        // (the border path generalizes it), evaluated for every candidate.
-        fn reference(
-            m: &DenseStereoMatcher,
-            left: &GrayImage,
-            right: &GrayImage,
-            x: isize,
-            y: isize,
-            r: isize,
-        ) -> Option<f32> {
-            let mut best = (0usize, f32::INFINITY);
-            let mut second = f32::INFINITY;
-            for d in 0..=m.max_disparity {
-                let mut sad = 0.0f32;
-                for dy in -r..=r {
-                    for dx in -r..=r {
-                        let l = left.get(x + dx, y + dy);
-                        let rr = right.get(x + dx - d as isize, y + dy);
-                        sad += (l - rr).abs();
-                    }
-                }
-                if sad < best.1 {
-                    second = best.1;
-                    best = (d, sad);
-                } else if sad < second {
-                    second = sad;
+    /// The per-disparity SAD loop through bounds-checked `get()` reads —
+    /// the matcher before blocks of lanes and padded copies, kept as
+    /// the test oracle of [`DenseStereoMatcher::match_block`].
+    fn get_loop_match(
+        m: &DenseStereoMatcher,
+        left: &GrayImage,
+        right: &GrayImage,
+        x: isize,
+        y: isize,
+    ) -> Option<f32> {
+        let r = m.block_radius as isize;
+        let mut best = (0usize, f32::INFINITY);
+        let mut second = f32::INFINITY;
+        for d in 0..=m.max_disparity {
+            let mut sad = 0.0f32;
+            for dy in -r..=r {
+                for dx in -r..=r {
+                    let l = left.get(x + dx, y + dy);
+                    let rr = right.get(x + dx - d as isize, y + dy);
+                    sad += (l - rr).abs();
                 }
             }
-            if best.1.is_finite() && best.1 + 1e-6 < m.uniqueness * second {
-                Some(best.0 as f32)
-            } else {
-                None
+            if sad < best.1 {
+                second = best.1;
+                best = (d, sad);
+            } else if sad < second {
+                second = sad;
             }
         }
-        let mut rng = SovRng::seed_from_u64(9);
-        let blobs: Vec<(f64, f64, f64, f64)> = (0..40)
+        if best.1.is_finite() && best.1 + 1e-6 < m.uniqueness * second {
+            Some(best.0 as f32)
+        } else {
+            None
+        }
+    }
+
+    /// [`DenseStereoMatcher::match_block`] at image pixel `(x, y)`, on the
+    /// padded copies `compute_with` builds.
+    fn padded_match(
+        m: &DenseStereoMatcher,
+        left: &GrayImage,
+        right: &GrayImage,
+        x: usize,
+        y: usize,
+    ) -> Option<f32> {
+        let border = m.padding();
+        let (left, right) = (left.padded(border, None), right.padded(border, None));
+        let mut sads = vec![0.0f32; m.disparities().max(LANES)];
+        m.match_block(
+            &left,
+            &right,
+            (x + border[0] - m.block_radius, y),
+            &mut sads,
+        )
+    }
+
+    /// A random textured pair whose right view is the left one shifted by
+    /// `shift` px, over independent background noise.
+    fn random_pair(seed: u64, w: usize, h: usize, shift: f64) -> (GrayImage, GrayImage) {
+        let mut rng = SovRng::seed_from_u64(seed);
+        let blobs: Vec<(f64, f64, f64, f64)> = (0..w * h / 60 + 3)
             .map(|_| {
                 (
-                    rng.uniform(6.0, 90.0),
-                    rng.uniform(4.0, 44.0),
+                    rng.uniform(0.0, w as f64),
+                    rng.uniform(0.0, h as f64),
                     rng.uniform(1.0, 2.5),
                     rng.uniform(0.4, 0.9),
                 )
             })
             .collect();
-        let mut bg = SovRng::seed_from_u64(10);
-        let left = render_scene(96, 48, &blobs, 0.02, &mut bg);
+        let left = render_scene(w, h, &blobs, 0.05, &mut rng);
         let shifted: Vec<(f64, f64, f64, f64)> = blobs
             .iter()
-            .map(|&(x, y, r, i)| (x - 5.0, y, r, i))
+            .map(|&(x, y, r, i)| (x - shift, y, r, i))
             .collect();
-        let mut bg2 = SovRng::seed_from_u64(10);
-        let right = render_scene(96, 48, &shifted, 0.02, &mut bg2);
-        let matcher = DenseStereoMatcher {
-            max_disparity: 21, // not a multiple of 4: exercises the tail
-            ..DenseStereoMatcher::default()
-        };
-        let r = matcher.block_radius as isize;
-        // Deep interior (all-batched), partially batched (x - r limits the
-        // lanes), and border blocks must all match the scalar reference.
-        for (x, y) in [(60, 24), (30, 10), (12, 20), (7, 5), (2, 2), (95, 47)] {
-            assert_eq!(
-                matcher.match_block(&left, &right, x, y, r),
-                reference(&matcher, &left, &right, x, y, r),
-                "block at ({x}, {y})"
-            );
+        let right = render_scene(w, h, &shifted, 0.05, &mut rng);
+        (left, right)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn bitwise_oracle_sad_blocks_equal_the_get_loop(
+            seed in 0u64..5_000,
+            w in 12usize..56,
+            h in 8usize..28,
+            shift in 0.0f64..12.0,
+            block_radius in 0usize..5,
+            max_disparity in 0usize..41,
+            uniqueness in 0.5f64..1.0,
+            spot in (0usize..1_000, 0usize..1_000),
+        ) {
+            let (left, right) = random_pair(seed, w, h, shift);
+            let matcher = DenseStereoMatcher {
+                block_radius,
+                max_disparity,
+                grid_step: 4,
+                uniqueness: uniqueness as f32,
+            };
+            // Both ends and one random column, against the first and last
+            // rows and one random row: blocks past every border, and
+            // disparities past the left edge whenever max_disparity >= x.
+            let r = block_radius;
+            for x in [0, 1, r.min(w - 1), spot.0 % w, w - 1 - r.min(w - 1), w - 1] {
+                for y in [0, r.min(h - 1), spot.1 % h, h - 1] {
+                    prop_assert_eq!(
+                        padded_match(&matcher, &left, &right, x, y),
+                        get_loop_match(&matcher, &left, &right, x as isize, y as isize),
+                        "block at ({}, {}), r {}, max_disparity {}", x, y, r, max_disparity
+                    );
+                }
+            }
         }
     }
 

@@ -32,6 +32,13 @@ const ROWS_PER_CHUNK: usize = 8;
 /// size, so chunking stays deterministic for every lane count.
 const MIN_PARALLEL_PIXELS: usize = 1 << 16;
 
+/// Candidates per block in the NCC and SAD kernels
+/// ([`NccTemplate::correlate_run`], the dense stereo matcher): sixteen
+/// independent accumulator chains advance side by side, two 256-bit
+/// vectors of `f32` (four of `f64`), and one block covers the 15
+/// candidates of a radius-7 tracker row.
+pub(crate) const LANES: usize = 16;
+
 /// A row-major grayscale image of `f32` intensities in `[0, 1]`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GrayImage {
@@ -132,6 +139,34 @@ impl GrayImage {
             }
         }
         out
+    }
+
+    /// A copy of the image inside a zero border of `left`, `top`, `right`
+    /// and `bottom` pixels, so a window that pokes past an edge reads the
+    /// 0.0 that [`GrayImage::get`] returns there from a contiguous row.
+    /// The plane is borrowed from `arena` when supplied; recycle it via
+    /// [`GrayImage::into_raw`].
+    #[must_use]
+    pub(crate) fn padded(
+        &self,
+        [left, top, right, bottom]: [usize; 4],
+        arena: Option<&FrameArena>,
+    ) -> GrayImage {
+        let width = left + self.width + right;
+        let height = top + self.height + bottom;
+        let mut data = take_plane(arena, width * height);
+        for (src, dst) in self
+            .data
+            .chunks_exact(self.width)
+            .zip(data[top * width..].chunks_exact_mut(width))
+        {
+            dst[left..left + self.width].copy_from_slice(src);
+        }
+        GrayImage {
+            width,
+            height,
+            data,
+        }
     }
 
     /// Consumes the image, returning its backing buffer so per-frame
@@ -469,75 +504,93 @@ impl NccTemplate {
     /// into `out[k]`.
     ///
     /// Bit-identical to calling [`NccTemplate::correlate`] once per
-    /// center: every candidate's three accumulators (f32 sum, numerator,
-    /// variance) add the same terms in the same order — independent
-    /// candidates merely interleave, which never reorders any single
-    /// chain. The interleaving matters because a lone NCC is bound by its
-    /// floating-point dependency chain; four side-by-side chains hide
-    /// that latency.
+    /// center. A lone NCC is bound by its floating-point add chains, so
+    /// the run is evaluated in blocks of sixteen adjacent candidates
+    /// whose chains advance side by side: each lane still adds its own
+    /// terms in the serial row-major order, so no single accumulator is
+    /// reordered. The last block ends at the run's end, overlapping the
+    /// one before it (the shared lanes are recomputed to the same bits),
+    /// and a run shorter than one block evaluates a whole block and keeps
+    /// its first lanes — so every candidate takes the same path. When the
+    /// blocks' footprint leaves `b`, it is first gathered into a
+    /// zero-padded scratch window, reading the 0.0 that
+    /// [`GrayImage::get`] returns there.
     pub fn correlate_run(&self, b: &GrayImage, (bx0, bcy): (isize, isize), out: &mut [f64]) {
-        let size = self.size;
-        let half = (size / 2) as isize;
-        let y0 = bcy - half;
-        let first_x0 = bx0 - half;
-        let last_x0 = first_x0 + out.len() as isize - 1;
-        let run_interior = !out.is_empty()
-            && first_x0 >= 0
-            && y0 >= 0
-            && last_x0 + size as isize <= b.width() as isize
-            && y0 + size as isize <= b.height() as isize;
-        if !run_interior {
-            for (k, slot) in out.iter_mut().enumerate() {
-                *slot = self.correlate(b, (bx0 + k as isize, bcy));
-            }
+        let (n, size) = (out.len(), self.size);
+        if n == 0 || size == 0 {
+            // An empty window has no variance: `correlate` reads 0.0.
+            out.fill(0.0);
             return;
         }
-        let n = (size * size) as f32;
-        let (w, data) = (b.width(), b.data());
-        let (y0, first_x0) = (y0 as usize, first_x0 as usize);
+        let half = (size / 2) as isize;
+        let (x0, y0) = (bx0 - half, bcy - half);
+        let span = n.max(LANES) + size - 1;
+        let inside = x0 >= 0
+            && y0 >= 0
+            && x0 as usize + span <= b.width()
+            && y0 as usize + size <= b.height();
+        let mut gathered = self.scratch.borrow_mut();
+        let (data, stride) = if inside {
+            let start = y0 as usize * b.width() + x0 as usize;
+            (&b.data()[start..], b.width())
+        } else {
+            gathered.clear();
+            for y in 0..size as isize {
+                gathered.extend((0..span as isize).map(|x| b.get(x0 + x, y0 + y)));
+            }
+            (&gathered[..], span)
+        };
         let mut k = 0;
-        while k + 4 <= out.len() {
-            let x0 = first_x0 + k;
-            let mut sb = [0.0f32; 4];
-            for y in 0..size {
-                let row = &data[(y0 + y) * w + x0..][..size + 3];
-                for (x, _) in row.iter().enumerate().take(size) {
-                    for (lane, s) in sb.iter_mut().enumerate() {
-                        *s += row[x + lane];
-                    }
-                }
-            }
-            let mb = sb.map(|s| f64::from(s / n));
-            let (mut num, mut vb) = ([0.0f64; 4], [0.0f64; 4]);
-            for y in 0..size {
-                let row = &data[(y0 + y) * w + x0..][..size + 3];
-                let das = &self.da[y * size..(y + 1) * size];
-                for (x, da) in das.iter().enumerate() {
-                    for lane in 0..4 {
-                        let db = f64::from(row[x + lane]) - mb[lane];
-                        num[lane] += da * db;
-                        vb[lane] += db * db;
-                    }
-                }
-            }
-            for lane in 0..4 {
-                out[k + lane] = if self.va < 1e-12 || vb[lane] < 1e-12 {
-                    0.0
-                } else {
-                    num[lane] / (self.va.sqrt() * vb[lane].sqrt())
-                };
-            }
-            k += 4;
+        while k < n {
+            let start = k.min(n.saturating_sub(LANES));
+            let block = self.correlate_block(&data[start..], stride);
+            let lanes = LANES.min(n - start);
+            out[start..start + lanes].copy_from_slice(&block[..lanes]);
+            k = start + LANES;
         }
-        for (k, slot) in out.iter_mut().enumerate().skip(k) {
-            *slot = self.correlate(b, (bx0 + k as isize, bcy));
+    }
+
+    /// NCC against the [`LANES`] adjacent windows whose top-left pixels
+    /// are `data[0..LANES]`, image rows `stride` apart. Lane `j` adds
+    /// exactly the terms, in exactly the order, of
+    /// [`NccTemplate::correlate`] on window `j`, and no lane branches.
+    fn correlate_block(&self, data: &[f32], stride: usize) -> [f64; LANES] {
+        let size = self.size;
+        let n = (size * size) as f32;
+        let rows = || (0..size).map(|y| &data[y * stride..][..size + LANES - 1]);
+        let mut sb = [0.0f32; LANES];
+        for row in rows() {
+            for window in row.windows(LANES) {
+                sb = std::array::from_fn(|lane| sb[lane] + window[lane]);
+            }
         }
+        let mb = sb.map(|s| f64::from(s / n));
+        let (mut num, mut vb) = ([0.0f64; LANES], [0.0f64; LANES]);
+        for (y, row) in rows().enumerate() {
+            for (window, &da) in row.windows(LANES).zip(&self.da[y * size..][..size]) {
+                let db: [f64; LANES] =
+                    std::array::from_fn(|lane| f64::from(window[lane]) - mb[lane]);
+                num = std::array::from_fn(|lane| num[lane] + da * db[lane]);
+                vb = std::array::from_fn(|lane| vb[lane] + db[lane] * db[lane]);
+            }
+        }
+        // Every lane divides; a zero-variance lane then selects 0.0.
+        let sa = self.va.sqrt();
+        std::array::from_fn(|lane| {
+            let corr = num[lane] / (sa * vb[lane].sqrt());
+            if (self.va < 1e-12) | (vb[lane] < 1e-12) {
+                0.0
+            } else {
+                corr
+            }
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sov_testkit::prelude::*;
 
     #[test]
     fn get_set_roundtrip_and_bounds() {
@@ -708,6 +761,41 @@ mod tests {
                 via_patches.to_bits(),
                 "window ({acx},{acy})↔({bcx},{bcy}) size {size}"
             );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn bitwise_oracle_correlate_run_equals_per_candidate_ncc(
+            seed in 0u64..5_000,
+            w in 6usize..48,
+            h in 6usize..40,
+            size in 0usize..12,
+            template in (0usize..1_000, 0usize..1_000),
+            start in (0usize..1_000, 0usize..1_000),
+            run in 0usize..41,
+        ) {
+            let mut rng = SovRng::seed_from_u64(seed);
+            let blob = |rng: &mut SovRng| {
+                (rng.uniform(0.0, w as f64), rng.uniform(0.0, h as f64), 3.0, 0.9)
+            };
+            let blobs = [blob(&mut rng), blob(&mut rng)];
+            let a = render_scene(w, h, &blobs, 0.4, &mut rng);
+            let b = render_scene(w, h, &blobs, 0.4, &mut rng);
+            // Template and run anywhere from `size` px before the image to
+            // `size` px past it: runs inside, across every border, and
+            // wholly outside.
+            let reach = |v: usize, len: usize| (v % (len + 2 * size)) as isize - size as isize;
+            let tpl = NccTemplate::new(&a, (reach(template.0, w), reach(template.1, h)), size);
+            let (bx0, bcy) = (reach(start.0, w) - run as isize / 2, reach(start.1, h));
+            let mut out = vec![f64::NAN; run];
+            tpl.correlate_run(&b, (bx0, bcy), &mut out);
+            for (k, got) in out.iter().enumerate() {
+                let want = tpl.correlate(&b, (bx0 + k as isize, bcy));
+                prop_assert_eq!(got.to_bits(), want.to_bits(), "candidate {} of {}", k, run);
+            }
         }
     }
 

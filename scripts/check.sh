@@ -35,6 +35,11 @@ echo "== fused score+NMS bit-identity proptest (tile-seam corners vs =="
 echo "== the serial score-plane oracle)                             =="
 cargo test --offline -q -p sov-perception --lib fused_nms
 
+echo "== perception kernel bitwise oracles (lane-block NCC vs per-candidate =="
+echo "== correlate; tracker vs a naive patch-NCC argmax; FAST masks vs the  =="
+echo "== per-pixel fast_score; SAD lane blocks vs the get() loop)           =="
+cargo test --offline -q -p sov-perception --lib bitwise_oracle
+
 echo "== speed-QP bitwise oracle proptest (SpeedQp vs the dense   =="
 echo "== QpProblem: x and objective bits, iterations, convergence =="
 echo "== and errors, zero rows and NaN bounds included)           =="
