@@ -9,27 +9,16 @@
 //! fault may produce a collision** — the worst allowed outcome is lost
 //! availability (a slower or stopped vehicle).
 //!
-//! Each cell is driven twice: once serially (the committed simulated
-//! row) and once through the depth-3 / 4-worker pipelined runtime, whose
-//! [`DriveReport`] must stay **byte-identical** to the serial drive —
-//! faults included. The piped drive's latency-ledger [`TailReport`] is
-//! what fills each row's `attribution` object: the fault's end-to-end
-//! tail cost split into compute, ring-queue wait, and drain/barrier
-//! stall at p50/p99/p99.9/max, the same shape `BENCH_pipeline.json`
-//! reports. Attribution is wall-clock telemetry and varies run to run;
-//! every other field is simulated and a fixed seed reproduces it byte
-//! for byte.
+//! Every field is simulated, so a fixed seed reproduces the JSON byte for
+//! byte.
 //!
 //! `--seed N` picks the seed (default 42); `--json PATH` additionally
 //! writes the matrix as JSON.
 
-use sov_bench::{quad, quad_json};
 use sov_core::config::VehicleConfig;
 use sov_core::health::DegradationMode;
 use sov_core::sov::{DriveOutcome, DriveReport, Sov};
-use sov_core::tail::TailReport;
 use sov_fault::{FaultKind, FaultPlan};
-use sov_runtime::PerfContext;
 use sov_sim::time::SimTime;
 use sov_world::scenario::Scenario;
 
@@ -41,42 +30,12 @@ struct Run {
     scenario: &'static str,
     fault: String,
     report: DriveReport,
-    /// Latency-ledger attribution of the piped re-drive (wall-clock).
-    attribution: TailReport,
-    /// Whether the piped re-drive's report matched the serial one bit
-    /// for bit (the DESIGN.md §8 invariant, under this fault).
-    piped_identical: bool,
 }
 
 fn drive(scenario: &Scenario, seed: u64, plan: &FaultPlan) -> DriveReport {
     let mut sov = Sov::new(VehicleConfig::perceptin_pod(), seed);
     sov.drive_with_plan(scenario, FRAMES, plan)
         .expect("FRAMES > 0")
-}
-
-/// Re-drives the cell through the pipelined runtime (depth 3, 4 workers
-/// — the visual front-end on its own lane) to source the attribution
-/// ledger. The simulated report must not change.
-fn drive_piped(scenario: &Scenario, seed: u64, plan: &FaultPlan) -> DriveReport {
-    let mut sov = Sov::new(VehicleConfig::perceptin_pod(), seed);
-    sov.set_perf(PerfContext::with_pipeline_workers(3, 4));
-    sov.drive_with_plan(scenario, FRAMES, plan)
-        .expect("FRAMES > 0")
-}
-
-fn attribution_json(r: &Run) -> String {
-    let mut t = r.attribution.clone();
-    format!(
-        concat!(
-            "{{\"total_ms\": {}, \"compute_ms\": {}, \"queue_ms\": {}, ",
-            "\"stall_ms\": {}, \"piped_identical\": {}}}"
-        ),
-        quad_json(quad(&mut t.total_ms)),
-        quad_json(quad(&mut t.compute_ms)),
-        quad_json(quad(&mut t.queue_ms)),
-        quad_json(quad(&mut t.stall_ms)),
-        r.piped_identical,
-    )
 }
 
 fn json_escape(s: &str) -> String {
@@ -108,8 +67,7 @@ fn run_json(r: &Run, nominal_distance: f64) -> String {
             "\"deadline_misses\": {}, \"can_frames_lost\": {}, ",
             "\"override_engagements\": {}, ",
             "\"computing_ms\": {{\"p50\": {:.3}, \"p99\": {:.3}, ",
-            "\"p999\": {:.3}, \"max\": {:.3}}}, ",
-            "\"attribution\": {}}}"
+            "\"p999\": {:.3}, \"max\": {:.3}}}}}"
         ),
         json_escape(r.scenario),
         json_escape(&r.fault),
@@ -134,7 +92,6 @@ fn run_json(r: &Run, nominal_distance: f64) -> String {
         p99,
         p999,
         max,
-        attribution_json(r),
     )
 }
 
@@ -211,12 +168,9 @@ fn main() {
             );
         };
         print_row("nominal", &baseline, String::new());
-        let piped = drive_piped(scenario, seed, &FaultPlan::nominal());
         runs.push(Run {
             scenario: name,
             fault: "nominal".into(),
-            piped_identical: piped == baseline,
-            attribution: piped.tail,
             report: baseline,
         });
 
@@ -234,45 +188,12 @@ fn main() {
                 safety_violations.push(format!("{kind} on {name}"));
             }
             print_row(&kind.to_string(), &rep, misc);
-            let piped = drive_piped(scenario, seed, &plan);
             runs.push(Run {
                 scenario: name,
                 fault: kind.to_string(),
-                piped_identical: piped == rep,
-                attribution: piped.tail,
                 report: rep,
             });
         }
-    }
-
-    // Where each fault's tail cost lives: the piped re-drive's ledger
-    // split (wall-clock; the simulated rows above are the gated facts).
-    sov_bench::section("tail attribution (piped d3 w4 re-drive, p99.9 ms)");
-    println!(
-        "{:<18} | {:<16} | {:>8} | {:>8} | {:>8} | {:>8} | {:>5}",
-        "scenario", "fault", "total", "compute", "queue", "stall", "ident"
-    );
-    let mut piped_ok = true;
-    for r in &runs {
-        let mut t = r.attribution.clone();
-        if !r.piped_identical {
-            piped_ok = false;
-        }
-        println!(
-            "{:<18} | {:<16} | {:>8.3} | {:>8.3} | {:>8.3} | {:>8.3} | {:>5}{}",
-            r.scenario,
-            r.fault,
-            t.total_ms.p999(),
-            t.compute_ms.p999(),
-            t.queue_ms.p999(),
-            t.stall_ms.p999(),
-            r.piped_identical,
-            if r.piped_identical {
-                ""
-            } else {
-                "  REPORT DIVERGED FROM SERIAL"
-            },
-        );
     }
 
     // The two acceptance demonstrations of the degradation design.
@@ -336,10 +257,6 @@ fn main() {
 
     if !safety_violations.is_empty() {
         println!("\nSAFETY VIOLATIONS: {}", safety_violations.join(", "));
-        std::process::exit(1);
-    }
-    if !piped_ok {
-        eprintln!("determinism violation: a piped re-drive diverged from its serial report");
         std::process::exit(1);
     }
     if !acceptance_ok {

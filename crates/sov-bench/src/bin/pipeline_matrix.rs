@@ -1,6 +1,6 @@
 //! Inter-frame software-pipelining ablation (DESIGN.md §9).
 //!
-//! Three views of the same trade, all checksum-gated:
+//! Two views of the same trade, checksum-gated:
 //!
 //! 1. **Replay cells** — the committed frame-latency model of the pod
 //!    (`LatencyPipeline`) is replayed through [`FramePipeline`] with each
@@ -11,51 +11,27 @@
 //! 2. **Analytic model** — `FrameLatency::pipelined_throughput_fps` /
 //!    `pipeline_speedup` averaged over the same replayed frames: the
 //!    initiation-interval bound the replay cells should approach.
-//! 3. **Drive cells** — real [`Sov::drive_with_plan`] runs at several
-//!    pipeline depths × worker counts. The `fe` column reads
-//!    [`PerfContext::stage_placement`]: workers ≥ 4 put the visual
-//!    front-end node on its own lane, 3 workers keep it inline on the
-//!    sequencer. These prove the headline invariant end to end (the
-//!    [`DriveReport`]s must be **byte-identical** to serial) and report
-//!    wall-clock as-is; on a host with fewer cores than lanes the overlap
-//!    cannot pay, which the JSON records as a caveat instead of hiding.
 //!
 //! Pipelining trades per-frame latency *up* for throughput, so every cell
 //! reports p50 **and** p99 (COLA's tail-latency caveat), never throughput
-//! alone. Every concurrent cell additionally reports per-stage
-//! **occupancy** (compute ÷ wall for sensing, perception, and planning,
-//! summed over the stage samples of the ledger or the replay run) so an
-//! idle stage is visible instead of averaged away — and, via the latency
-//! ledger, the **attribution split** into compute, ring-queue wait, and
-//! sequencer stall, each at p50/p99/p99.9/max: per control frame for
-//! drives, per frame summed over its three stage samples for replays.
-//!
-//! A fourth view, the **tail cells**, runs the depth-3 drive under a
-//! sustained compute overrun with the deadline-driven tail policy off,
-//! with priority draining, and with draining + shedding. The gate: the
-//! drained drive's p99.9 end-to-end latency must beat the undrained
-//! drive's *without changing the report* (draining is pure reordering);
-//! the improvement half is a warning, not a failure, when `host_cores`
-//! < 3 — a sequential host cannot overlap the lanes it doesn't have.
+//! alone. Every cell additionally reports per-stage **occupancy** (compute
+//! ÷ wall for sensing, perception, and planning, summed over the replay's
+//! stage samples) so an idle stage is visible instead of averaged away —
+//! and, via the latency ledger, the **attribution split** of each frame's
+//! three stage samples into compute, ring-queue wait, and sequencer stall,
+//! each at p50/p99/p99.9/max.
 //!
 //! Flags: `--json PATH` writes the matrix (the committed baseline is
 //! `BENCH_pipeline.json`); `--smoke` shrinks the run for CI; `--frames N`
 //! overrides the replay frame count; `--seed N` reseeds the workload.
 
-use sov_bench::{digest_report, mix, quad, quad_json};
+use sov_bench::{mix, quad, quad_json};
 use sov_core::config::VehicleConfig;
 use sov_core::pipeline::{FrameLatency, LatencyPipeline};
-use sov_core::sov::{DriveReport, Sov};
-use sov_core::tail::TailReport;
-use sov_fault::{FaultKind, FaultPlan};
 use sov_math::stats::Summary;
-use sov_runtime::ledger::{TailPolicy, SENSING};
-use sov_runtime::pipeline::{FramePipeline, PipelineRun, Placement};
+use sov_runtime::pipeline::{FramePipeline, PipelineRun};
 use sov_runtime::pool::WorkerPool;
-use sov_runtime::PerfContext;
-use sov_sim::time::SimTime;
-use sov_world::scenario::Scenario;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Modeled stage durations are divided by this before sleeping, keeping a
 /// full matrix under ~10 s of wall clock without changing the ratios that
@@ -148,73 +124,6 @@ fn replay_split(run: &PipelineRun) -> [[f64; 4]; 3] {
         }
     }
     split.each_mut().map(quad)
-}
-
-/// The same four-point split lifted out of a drive's [`TailReport`],
-/// plus the per-stage p99.9 compute row.
-struct DriveTail {
-    total: [f64; 4],
-    compute: [f64; 4],
-    queue: [f64; 4],
-    stall: [f64; 4],
-    stage_p999_compute: [f64; 3],
-    stage_p999_queue: [f64; 3],
-    stage_p999_stall: [f64; 3],
-    max_residual_ns: u64,
-    priority_drains: u64,
-    sheds: u64,
-    overruns_predicted: u64,
-}
-
-impl DriveTail {
-    fn of(tail: &TailReport) -> Self {
-        let mut t = tail.clone();
-        let stage = |s: &mut [Summary; 3]| [s[0].p999(), s[1].p999(), s[2].p999()];
-        Self {
-            total: quad(&mut t.total_ms),
-            compute: quad(&mut t.compute_ms),
-            queue: quad(&mut t.queue_ms),
-            stall: quad(&mut t.stall_ms),
-            stage_p999_compute: stage(&mut t.stage_compute_ms),
-            stage_p999_queue: stage(&mut t.stage_queue_ms),
-            stage_p999_stall: stage(&mut t.stage_stall_ms),
-            max_residual_ns: t.max_residual_ns,
-            priority_drains: t.priority_drains,
-            sheds: t.sheds,
-            overruns_predicted: t.overruns_predicted,
-        }
-    }
-
-    fn json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"total_ms\": {}, \"compute_ms\": {}, \"queue_ms\": {}, ",
-                "\"stall_ms\": {}, ",
-                "\"stage_p999_compute_ms\": [{:.3}, {:.3}, {:.3}], ",
-                "\"stage_p999_queue_ms\": [{:.3}, {:.3}, {:.3}], ",
-                "\"stage_p999_stall_ms\": [{:.3}, {:.3}, {:.3}], ",
-                "\"max_residual_ns\": {}, \"priority_drains\": {}, ",
-                "\"sheds\": {}, \"overruns_predicted\": {}}}"
-            ),
-            quad_json(self.total),
-            quad_json(self.compute),
-            quad_json(self.queue),
-            quad_json(self.stall),
-            self.stage_p999_compute[0],
-            self.stage_p999_compute[1],
-            self.stage_p999_compute[2],
-            self.stage_p999_queue[0],
-            self.stage_p999_queue[1],
-            self.stage_p999_queue[2],
-            self.stage_p999_stall[0],
-            self.stage_p999_stall[1],
-            self.stage_p999_stall[2],
-            self.max_residual_ns,
-            self.priority_drains,
-            self.sheds,
-            self.overruns_predicted,
-        )
-    }
 }
 
 fn main() {
@@ -340,201 +249,14 @@ fn main() {
         model_rows.push((depth, fps, speedup, occ));
     }
 
-    // --- drive cells ------------------------------------------------------
-    sov_bench::section("drive cells: real Sov drives, byte-identical gate");
-    let drive_frames: u64 = if smoke { 60 } else { 200 };
-    let scenario = Scenario::fishers_indiana(seed);
-    let plan = FaultPlan::nominal();
-    struct DriveRow {
-        depth: usize,
-        workers: usize,
-        frontend_lane: bool,
-        wall_ms: f64,
-        fps: f64,
-        occupancy: Option<[f64; 3]>,
-        tail: DriveTail,
-        digest: u64,
-        matches_serial: bool,
-    }
-    let mut drive_rows: Vec<DriveRow> = Vec::new();
-    let mut serial_report: Option<DriveReport> = None;
-    // Workers ≥ 4 put the visual front-end node on its own lane; exactly
-    // 3 keep it inline on the sequencer (detector + planner lanes only).
-    for (depth, workers) in [
-        (1usize, 0usize),
-        (2, 3),
-        (2, 4),
-        (3, 3),
-        (3, 4),
-        (4, 3),
-        (4, 4),
-    ] {
-        let mut sov = Sov::new(VehicleConfig::perceptin_pod(), seed);
-        if workers > 0 {
-            sov.set_perf(PerfContext::with_pipeline_workers(depth, workers));
-        }
-        let frontend_lane = sov.perf().stage_placement()[SENSING] == Placement::Lane;
-        let t0 = Instant::now();
-        let report = sov
-            .drive_with_plan(&scenario, drive_frames, &plan)
-            .expect("drive completes");
-        let wall = t0.elapsed();
-        let occupancy = (sov.perf().effective_pipeline_depth() > 1).then(|| {
-            let compute = &report.tail.stage_compute_ms;
-            compute
-                .each_ref()
-                .map(|s| s.samples().iter().sum::<f64>() / ms(wall))
-        });
-        let matches_serial = serial_report.as_ref().is_none_or(|s| *s == report);
-        if !matches_serial {
-            determinism_ok = false;
-        }
-        let occ_str = occupancy.map_or_else(
-            || "   -/-/-".to_string(),
-            |o| format!("{:.2}/{:.2}/{:.2}", o[0], o[1], o[2]),
-        );
-        println!(
-            "d{depth} w{workers} fe={}: {:>8.1} ms wall, {:>6.1} fps, occ {occ_str}, digest {:016x}{}",
-            if frontend_lane { "lane" } else { "seq " },
-            ms(wall),
-            drive_frames as f64 / wall.as_secs_f64(),
-            digest_report(&report),
-            if matches_serial {
-                ""
-            } else {
-                "  REPORT DIVERGED FROM SERIAL"
-            },
-        );
-        drive_rows.push(DriveRow {
-            depth,
-            workers,
-            frontend_lane,
-            wall_ms: ms(wall),
-            fps: drive_frames as f64 / wall.as_secs_f64(),
-            occupancy,
-            tail: DriveTail::of(&report.tail),
-            digest: digest_report(&report),
-            matches_serial,
-        });
-        if serial_report.is_none() {
-            serial_report = Some(report);
-        }
-    }
-
-    // --- tail cells -------------------------------------------------------
-    sov_bench::section("tail cells: deadline-driven draining under compute overruns");
-    let tsecs = |s: u64| SimTime::from_millis(s * 1000);
-    // Per-frame RPR delay spikes (uniform in [0, 280) ms) lift the
-    // predictor's `ewma + 2·dev` past the 300 ms Eq. 1 deadline while the
-    // *individual* misses stay mostly non-consecutive — so the vehicle
-    // stays Nominal and piped, which is exactly the regime where priority
-    // draining has in-flight commits to reorder. (A sustained overrun
-    // would trip the 3-consecutive-miss watchdog into ReactiveOnly, whose
-    // planning is already synchronous.) The shed cell instead uses a
-    // steady +350 ms overrun to cross the 1.5× escalation threshold.
-    let drain_plan = FaultPlan::new(seed ^ 0x7A11).with_intensity(
-        FaultKind::RprDelaySpike,
-        tsecs(2),
-        tsecs(14),
-        280.0,
-    );
-    let shed_plan = FaultPlan::new(seed ^ 0x7A11).with_intensity(
-        FaultKind::StageOverrun,
-        tsecs(2),
-        tsecs(14),
-        350.0,
-    );
-    let run_tail = |depth: usize, workers: usize, policy: TailPolicy, plan: &FaultPlan| {
-        let mut sov = Sov::new(VehicleConfig::perceptin_pod(), seed);
-        let mut perf = PerfContext::serial().with_tail_policy(policy);
-        if workers > 0 {
-            perf = PerfContext::with_pipeline_workers(depth, workers).with_tail_policy(policy);
-        }
-        sov.set_perf(perf);
-        sov.drive_with_plan(&scenario, drive_frames, plan)
-            .expect("drive completes")
-    };
-    struct TailRow {
-        label: &'static str,
-        tail: DriveTail,
-        frames_shed: u64,
-        digest: u64,
-        matches_baseline: bool,
-    }
-    let base = run_tail(3, 3, TailPolicy::default(), &drain_plan);
-    let drained = run_tail(3, 3, TailPolicy::draining(), &drain_plan);
-    // Shedding changes the output, so its baseline is the *serial* drive
-    // running the same policy — bit-identity of the policy itself.
-    let shed_serial = run_tail(0, 0, TailPolicy::draining_and_shedding(), &shed_plan);
-    let shed = run_tail(3, 3, TailPolicy::draining_and_shedding(), &shed_plan);
-    let drain_identical = drained == base;
-    let shed_identical = shed == shed_serial;
-    if !drain_identical || !shed_identical {
-        determinism_ok = false;
-    }
-    let tail_rows = [
-        TailRow {
-            label: "d3 w3 policy=off",
-            tail: DriveTail::of(&base.tail),
-            frames_shed: base.frames_shed,
-            digest: digest_report(&base),
-            matches_baseline: true,
-        },
-        TailRow {
-            label: "d3 w3 drain",
-            tail: DriveTail::of(&drained.tail),
-            frames_shed: drained.frames_shed,
-            digest: digest_report(&drained),
-            matches_baseline: drain_identical,
-        },
-        TailRow {
-            label: "d3 w3 drain+shed",
-            tail: DriveTail::of(&shed.tail),
-            frames_shed: shed.frames_shed,
-            digest: digest_report(&shed),
-            matches_baseline: shed_identical,
-        },
-    ];
-    println!(
-        "{:<17} | {:>9} | {:>9} | {:>9} | {:>6} | {:>6} | {:>5}",
-        "cell", "p50 ms", "p99.9 ms", "max ms", "drains", "sheds", "ident"
-    );
-    for row in &tail_rows {
-        println!(
-            "{:<17} | {:>9.3} | {:>9.3} | {:>9.3} | {:>6} | {:>6} | {:>5}{}",
-            row.label,
-            row.tail.total[0],
-            row.tail.total[2],
-            row.tail.total[3],
-            row.tail.priority_drains,
-            row.frames_shed,
-            row.matches_baseline,
-            if row.matches_baseline {
-                ""
-            } else {
-                "  REPORT DIVERGED"
-            },
-        );
-    }
-    let p999_off = tail_rows[0].tail.total[2];
-    let p999_drain = tail_rows[1].tail.total[2];
-    let tail_improved = p999_drain < p999_off;
-
     // --- acceptance -------------------------------------------------------
     let depth3 = replay_rows
         .iter()
         .find(|r| r.depth == 3 && r.workers == 3)
         .expect("cell swept above");
-    let fe_cell = drive_rows
-        .iter()
-        .find(|r| r.depth == 3 && r.workers == 4)
-        .expect("cell swept above");
-    let fe_occupied = fe_cell
-        .occupancy
-        .is_some_and(|o| o.iter().all(|&v| v > 0.0));
     sov_bench::section("acceptance");
     println!(
-        "replay checksums and drive reports identical across all cells: {}",
+        "replay checksums identical across all cells: {}",
         if determinism_ok { "PASS" } else { "FAIL" },
     );
     println!(
@@ -546,42 +268,15 @@ fn main() {
             "FAIL"
         },
     );
-    println!(
-        "drive cell d3 w4: sensing, perception, planning lanes all busy: {}",
-        if fe_occupied { "PASS" } else { "FAIL" },
-    );
-    println!(
-        "tail cells: drained/shed reports identical to their baselines: {}",
-        if drain_identical && shed_identical {
-            "PASS"
-        } else {
-            "FAIL"
-        },
-    );
-    if host_cores >= 3 {
-        println!(
-            "tail gate: d3 w3 p99.9 drive latency, drain {p999_drain:.3} ms < off {p999_off:.3} ms: {}",
-            if tail_improved { "PASS" } else { "FAIL" },
-        );
-    } else {
-        // One visible line, not a failure: a host without three cores
-        // cannot overlap the lanes, so the drain reordering has nothing
-        // to win back. The determinism half above still gates.
-        println!(
-            "warning: host_cores = {host_cores} < 3 — tail gate informational only \
-             (drain {p999_drain:.3} ms vs off {p999_off:.3} ms)"
-        );
-    }
 
     if let Some(path) = json_path {
         let mut out = String::from("{\n");
         out.push_str(&format!(
-            "  \"seed\": {seed},\n  \"replay_frames\": {frames},\n  \"drive_frames\": {drive_frames},\n  \"time_scale\": {TIME_SCALE},\n  \"host_cores\": {host_cores},\n"
+            "  \"seed\": {seed},\n  \"replay_frames\": {frames},\n  \"time_scale\": {TIME_SCALE},\n  \"host_cores\": {host_cores},\n"
         ));
         out.push_str(concat!(
             "  \"caveats\": [\n",
             "    \"replay cells sleep the modeled stage durations, so overlap is visible even when host_cores < lanes\",\n",
-            "    \"drive cells are compute-bound; wall-clock speedup requires host_cores >= 3 and is reported as measured\",\n",
             "    \"pipelining raises per-frame latency while raising throughput — compare p99, not only p50\"\n",
             "  ],\n"
         ));
@@ -634,83 +329,17 @@ fn main() {
             })
             .collect();
         out.push_str(&rows.join(",\n"));
-        out.push_str("\n  ],\n  \"drive_cells\": [\n");
-        let rows: Vec<String> = drive_rows
-            .iter()
-            .map(|r| {
-                let occ = r.occupancy.map_or_else(
-                    || "null".to_string(),
-                    |o| format!("[{:.4}, {:.4}, {:.4}]", o[0], o[1], o[2]),
-                );
-                format!(
-                    concat!(
-                        "    {{\"depth\": {}, \"workers\": {}, \"frontend_lane\": {}, ",
-                        "\"wall_ms\": {:.1}, \"fps\": {:.2}, \"occupancy\": {}, ",
-                        "\"tail\": {}, ",
-                        "\"report_digest\": \"{:016x}\", \"matches_serial\": {}}}"
-                    ),
-                    r.depth,
-                    r.workers,
-                    r.frontend_lane,
-                    r.wall_ms,
-                    r.fps,
-                    occ,
-                    r.tail.json(),
-                    r.digest,
-                    r.matches_serial,
-                )
-            })
-            .collect();
-        out.push_str(&rows.join(",\n"));
-        out.push_str("\n  ],\n  \"tail_cells\": [\n");
-        let rows: Vec<String> = tail_rows
-            .iter()
-            .map(|r| {
-                format!(
-                    concat!(
-                        "    {{\"cell\": \"{}\", \"tail\": {}, \"frames_shed\": {}, ",
-                        "\"report_digest\": \"{:016x}\", \"matches_baseline\": {}}}"
-                    ),
-                    r.label,
-                    r.tail.json(),
-                    r.frames_shed,
-                    r.digest,
-                    r.matches_baseline,
-                )
-            })
-            .collect();
-        out.push_str(&rows.join(",\n"));
-        out.push_str(&format!(
-            concat!(
-                "\n  ],\n  \"tail_gate\": {{\"depth\": 3, \"workers\": 3, ",
-                "\"rpr_spike_ms\": 280.0, \"p999_total_ms_off\": {:.3}, ",
-                "\"p999_total_ms_drain\": {:.3}, \"drain_improves_p999\": {}, ",
-                "\"reports_identical\": {}, \"enforced\": {}}}\n}}\n"
-            ),
-            p999_off,
-            p999_drain,
-            tail_improved,
-            drain_identical && shed_identical,
-            host_cores >= 3,
-        ));
+        out.push_str("\n  ]\n}\n");
         std::fs::write(&path, out).expect("write JSON report");
         println!("\nwrote {path}");
     }
 
     if !determinism_ok {
-        eprintln!("determinism violation: pipelined outputs diverged from serial");
+        eprintln!("determinism violation: a pipelined replay diverged from serial");
         std::process::exit(1);
     }
     if depth3.speedup < 1.5 {
         eprintln!("throughput regression: depth-3 replay speedup below 1.5×");
-        std::process::exit(1);
-    }
-    if !fe_occupied {
-        eprintln!("occupancy gate: d3 w4 drive must keep all three lanes busy");
-        std::process::exit(1);
-    }
-    if host_cores >= 3 && !tail_improved {
-        eprintln!("tail gate: priority draining must improve d3 w3 p99.9 drive latency");
         std::process::exit(1);
     }
 }

@@ -138,7 +138,7 @@ pub struct SafetyViolation {
 
 /// Per-drive invariant outcome, carried in
 /// [`DriveReport`](crate::sov::DriveReport). `PartialEq` is exact, like
-/// the rest of the report: pooled/pipelined drives must reproduce it
+/// the rest of the report: a re-drive of the same seed must reproduce it
 /// bit for bit.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SafetyReport {

@@ -32,27 +32,25 @@ use sov_fault::{FaultKind, FaultPlan};
 use sov_math::stats::Summary;
 use sov_math::{angle, SovRng};
 use sov_perception::detection::{Detection, Detector, DetectorProfile};
-use sov_perception::frontend::{EgoMotionRequest, FrontEnd, FrontEndOutput};
+use sov_perception::frontend::{EgoMotionRequest, FrontEnd};
 use sov_perception::fusion::{FixOutcome, FusionConfig, GpsVioFusion};
 use sov_perception::vio::{VioConfig, VioFilter};
 use sov_planning::mpc::MpcPlanner;
 use sov_planning::{Planner, PlanningInput, PlanningObstacle};
-use sov_runtime::arena::FrameArena;
-use sov_runtime::ledger::{FrameSample, LatencyLedger, PERCEPTION, PLANNING, SENSING};
-use sov_runtime::pipeline::{LaneBody, StageNode};
+use sov_runtime::ledger::{FrameSample, PERCEPTION, PLANNING, SENSING};
+use sov_runtime::pipeline::run_inline;
 use sov_runtime::PerfContext;
-use sov_sensors::camera::{Camera, CameraFrame, Intrinsics, StereoRig};
+use sov_sensors::camera::{Camera, Intrinsics, StereoRig};
 use sov_sensors::gps::{GnssQuality, GpsConfig, GpsReceiver};
 use sov_sensors::radar::RadarArray;
 use sov_sensors::sonar::SonarArray;
 use sov_sensors::sync::Synchronizer;
 use sov_sim::time::{SimDuration, SimTime};
 use sov_vehicle::battery::Battery;
-use sov_vehicle::dynamics::{ControlCommand, VehicleState};
+use sov_vehicle::dynamics::VehicleState;
 use sov_vehicle::ecu::Ecu;
 use sov_world::obstacle::ObstacleClass;
 use sov_world::scenario::Scenario;
-use std::collections::VecDeque;
 use std::fmt;
 
 /// How a drive ended.
@@ -90,10 +88,9 @@ impl std::error::Error for SovError {}
 /// Statistics of one drive.
 ///
 /// `PartialEq` is exact (bitwise on every float) over every *simulated*
-/// field: the determinism tests assert that a pool-enabled drive produces
-/// a report identical to the serial drive. The [`tail`](Self::tail)
-/// breakdown is excluded — it is wall-clock telemetry and legitimately
-/// differs between schedules.
+/// field: the determinism tests assert that a re-drive of the same seed
+/// produces an identical report. The [`tail`](Self::tail) breakdown is
+/// excluded — it is wall-clock telemetry and differs from run to run.
 #[derive(Debug, Clone)]
 pub struct DriveReport {
     /// Outcome.
@@ -138,10 +135,9 @@ pub struct DriveReport {
     /// [`crate::safety`]).
     pub safety: SafetyReport,
     /// Wall-clock tail-latency breakdown from the drive's
-    /// [`LatencyLedger`]: end-to-end control-path latency split into
-    /// compute / queue / stall at p50/p99/p99.9/max, plus per-lane
-    /// summaries and the tail-policy counters. **Excluded from
-    /// `PartialEq`.**
+    /// [`LatencyLedger`](sov_runtime::ledger::LatencyLedger): the control
+    /// path's planner latency and each stage's compute per call, plus the
+    /// tail-policy counters. **Excluded from `PartialEq`.**
     pub tail: TailReport,
 }
 
@@ -196,20 +192,9 @@ impl DriveReport {
 /// The complete on-vehicle system.
 #[derive(Debug)]
 pub struct Sov {
+    config: VehicleConfig,
     planner: MpcPlanner,
     detector: Detector,
-    /// Stage placement + per-frame buffer reuse. Defaults to serial;
-    /// never affects any computed value (determinism invariant).
-    perf: PerfContext,
-    rig: Rig,
-}
-
-/// What the drive's sequencer owns: the configuration, the sensors, the
-/// computing-latency model and the main RNG (the detector and planner
-/// live in their stage nodes during a drive).
-#[derive(Debug)]
-struct Rig {
-    config: VehicleConfig,
     camera: Camera,
     radars: RadarArray,
     sonars: SonarArray,
@@ -217,6 +202,10 @@ struct Rig {
     latency: LatencyPipeline,
     synchronizer: Synchronizer,
     rng: SovRng,
+    /// Buffer reuse, stage timing and the tail policy. Defaults to a
+    /// fresh context; never affects any computed value except through
+    /// shedding (determinism invariant).
+    perf: PerfContext,
 }
 
 impl Sov {
@@ -226,33 +215,30 @@ impl Sov {
         Self {
             planner: MpcPlanner::new(config.mpc),
             detector: Detector::new(DetectorProfile::matched(), seed),
+            camera: Camera::new(Intrinsics::hd1080(), 0.0, 1.2, 60.0, 0.5)
+                .expect("valid camera constants"),
+            radars: RadarArray::perceptin_six(config.radar, seed),
+            sonars: SonarArray::perceptin_eight(config.sonar, seed),
+            gps: GpsReceiver::new(GpsConfig::default(), seed),
+            latency: LatencyPipeline::new(&config, seed),
+            synchronizer: Synchronizer::new(config.sync_strategy, config.sync_config.clone()),
+            rng: SovRng::seed_from_u64(seed ^ 0x534F56),
             perf: PerfContext::default(),
-            rig: Rig {
-                camera: Camera::new(Intrinsics::hd1080(), 0.0, 1.2, 60.0, 0.5)
-                    .expect("valid camera constants"),
-                radars: RadarArray::perceptin_six(config.radar, seed),
-                sonars: SonarArray::perceptin_eight(config.sonar, seed),
-                gps: GpsReceiver::new(GpsConfig::default(), seed),
-                latency: LatencyPipeline::new(&config, seed),
-                synchronizer: Synchronizer::new(config.sync_strategy, config.sync_config.clone()),
-                rng: SovRng::seed_from_u64(seed ^ 0x534F56),
-                config,
-            },
+            config,
         }
     }
 
     /// The active configuration.
     #[must_use]
     pub fn config(&self) -> &VehicleConfig {
-        &self.rig.config
+        &self.config
     }
 
     /// Installs the performance context: the frame arena the drive's
-    /// buffers come from and, for a pipelined drive, the pool whose lanes
-    /// host the stage nodes ([`PerfContext::stage_placement`]). No stage
-    /// runs a pooled kernel, so a depth-1 context drives on the calling
-    /// thread alone. Every context is bit-identical to the serial drive —
-    /// placement only changes who computes, never what.
+    /// buffers come from, the ledger its stage calls are timed into, and
+    /// the tail policy. The drive runs on the calling thread with any
+    /// context; only [`TailPolicy::shed`](sov_runtime::ledger::TailPolicy)
+    /// changes the report, by shedding camera frames on purpose.
     pub fn set_perf(&mut self, perf: PerfContext) {
         self.perf = perf;
     }
@@ -288,22 +274,15 @@ impl Sov {
     /// dead input steer it; recovery is automatic once the inputs return.
     /// Driving under [`FaultPlan::nominal`] is exactly [`Sov::drive`].
     ///
+    /// The whole drive runs on the calling thread: the visual front-end
+    /// and the detector at each camera event, the MPC planner at each
+    /// control tick. Each call is timed into the context's ledger, one
+    /// compute sample per call, which fills [`DriveReport::tail`].
+    ///
     /// # Errors
     ///
     /// Returns [`SovError::NoFrames`] if `max_frames == 0`, and
     /// [`SovError::ZeroHorizon`] if the configured MPC horizon is zero.
-    ///
-    /// # Pipelining
-    ///
-    /// The visual front-end, detection and MPC planning run as stage nodes
-    /// placed by [`PerfContext::stage_placement`] — all inline on a serial
-    /// context, up to all three on pool lanes (Fig. 5's three-deep
-    /// overlap, `depth` frames in flight per stage). The sequencer on the
-    /// calling thread is one program for every placement and commits in
-    /// frame order, so the [`DriveReport`] is **byte-identical** to the
-    /// serial drive for every depth and worker count (the arguments are
-    /// on the sequencer's `Stages` type); a degraded tick drains the nodes
-    /// and serializes until the vehicle recovers to nominal.
     pub fn drive_with_plan(
         &mut self,
         scenario: &Scenario,
@@ -313,354 +292,25 @@ impl Sov {
         if max_frames == 0 {
             return Err(SovError::NoFrames);
         }
-        if self.rig.config.mpc.horizon == 0 {
+        if self.config.mpc.horizon == 0 {
             return Err(SovError::ZeroHorizon);
         }
-        let Sov {
-            planner,
-            detector,
-            perf,
-            rig,
-        } = self;
-        let perf: &PerfContext = perf;
-        // The visual front-end draws its seed first — before any camera
-        // event — on every schedule, preserving the main RNG sequence.
-        let mut frontend = FrontEnd::new(
-            rig.rng.next_u64(),
-            rig.camera.intrinsics().fx,
-            StereoRig::perceptin_default().baseline_m(),
-        );
-        let world = &scenario.world;
-        let depth = perf.effective_pipeline_depth();
-        let place = perf.stage_placement();
-        let led = &perf.ledger;
-        // Each node owns one stage's state (front-end tracker and RNG,
-        // detector RNG, planner warm start) and receives its jobs in frame
-        // order on every placement, so that state runs through exactly the
-        // serial sequence.
-        let (frontend, fe_lane) = StageNode::new(
-            SENSING,
-            place[SENSING],
-            depth,
-            led,
-            move |(frame, req, buf): FrontEndJob| {
-                let out = frontend.process(&frame, req.as_ref());
-                (frame, buf, out)
-            },
-        );
-        let (detector, det_lane) = StageNode::new(
-            PERCEPTION,
-            place[PERCEPTION],
-            depth,
-            led,
-            move |(frame, mut out): (CameraFrame, Vec<Detection>)| {
-                let class_of = |id| {
-                    world
-                        .obstacles
-                        .iter()
-                        .find(|o| o.id == id)
-                        .map_or(ObstacleClass::StaticObject, |o| o.class)
-                };
-                detector.detect_into(&frame, class_of, &mut out);
-                out
-            },
-        );
-        let (planner, plan_lane) = StageNode::new(
-            PLANNING,
-            place[PLANNING],
-            depth,
-            led,
-            move |input: PlanningInput| {
-                let plan = planner.plan(&input);
-                (plan.command, input.obstacles)
-            },
-        );
-        let nodes = (frontend, detector, planner);
-        let run = move || drive_loop(rig, perf, scenario, max_frames, faults, nodes);
-        let lanes: Vec<LaneBody<'_>> = [fe_lane, det_lane, plan_lane]
-            .into_iter()
-            .flatten()
-            .collect();
-        Ok(match perf.pool() {
-            Some(pool) => pool.run_lanes(lanes, run),
-            None => run(),
-        })
+        Ok(drive_loop(self, scenario, max_frames, faults))
     }
 }
 
-/// A camera frame, its ego-motion request, and the detection buffer that
-/// rides with the frame to the detector.
-type FrontEndJob = (CameraFrame, Option<EgoMotionRequest>, Vec<Detection>);
-type FrontEndNode<'a> = StageNode<'a, FrontEndJob, (CameraFrame, Vec<Detection>, FrontEndOutput)>;
-type DetectorNode<'a> = StageNode<'a, (CameraFrame, Vec<Detection>), Vec<Detection>>;
-type PlannerNode<'a> = StageNode<'a, PlanningInput, (ControlCommand, Vec<PlanningObstacle>)>;
-
-/// Sequencing metadata the main thread records when it dispatches a plan.
-struct PlanMeta {
-    /// When the command reaches the ECU (tick time + computing + CAN).
-    arrival: SimTime,
-    /// Whether the serial schedule would have offered this command to the
-    /// ECU at all (CAN frame not lost, override not engaged at dispatch).
-    accept: bool,
-    /// `ecu.overrides_engaged_count()` at dispatch; any increase by commit
-    /// time means the serial schedule would have flushed the command.
-    engage_count: u64,
-    /// Whether this tick planned under a degraded mode (ledger tag).
-    degraded: bool,
-}
-
-/// The sequencer: the three stage nodes plus the state their results
-/// commit into. One program for every placement
-/// [`PerfContext::stage_placement`] picks; with every node inline each
-/// stage runs at its dispatch, which is the serial schedule.
-///
-/// # Why deferred commits are exactly serial-equivalent
-///
-/// The serial schedule calls `ecu.accept_command(cmd, arrival)` at the
-/// control tick. With the planner on a lane the sequencer calls it later
-/// — when it takes the planner's result — with the *same* `arrival`,
-/// subject to three rules that make the deferral unobservable:
-///
-/// 1. **Frame order.** Plans commit strictly FIFO, so the ECU's pending
-///    queue always holds commands in the serial order.
-/// 2. **Arrival barrier.** Before each event iteration advances physics to
-///    `t`, every in-flight plan with `arrival <= t` is committed
-///    (blocking). A command matures at `arrival + t_mech`, so it can never
-///    be promoted by `Ecu::actuation` before it is committed, and a
-///    command still in flight (`arrival > t`) could not have matured in
-///    the serial schedule either.
-/// 3. **Override gate.** `accept` snapshots the override state at
-///    dispatch (serial-time ignore), and the commit is skipped if
-///    `overrides_engaged_count` increased since dispatch — exactly the
-///    commands the serial schedule's engage-flush (`pending.clear()`)
-///    would have removed, because an engagement while a command sits
-///    unmatured in the serial ECU queue flushes it, and rule 2 rules out
-///    the command having matured before any such engagement.
-///
-/// Eager early commits (taking results as they finish) are equally safe:
-/// between the serial accept time and the eager commit time the command
-/// cannot mature (rule 2) and cannot change other promotions (the ECU
-/// promotes FIFO from the front, and all earlier commands are already
-/// committed by rule 1), so wall-clock timing never affects the drive.
-///
-/// # Why front-end placement cannot change the drive
-///
-/// `FrontEnd::process` is the only mutator of the front-end's state and
-/// the only consumer of its RNG. Every placement runs the *same* calls on
-/// the *same* frames in the *same* (capture) order — a lane placement
-/// merely defers the `VioFilter` update, and the frame's hand-off to the
-/// detector, from dispatch to take time. That deferral is unobservable
-/// because the VIO estimate is only *read* by two event kinds — GPS fix
-/// ingestion and the control tick's fused position — and both block-take
-/// the front-end first; every other event neither reads nor writes VIO
-/// state, so applying outputs early or late between those barriers
-/// commutes. The detector receives the frames in capture order whenever
-/// they are forwarded, and its output is read only at the control tick,
-/// after a blocking take.
-///
-/// # Why a warm arena never allocates, however the lanes are timed
-///
-/// Detections are taken only there, in degraded mode and at drains, and
-/// each camera frame's detection buffer leaves `det_free` at dispatch: so
-/// the number of detection buffers out at any time follows from the event
-/// schedule alone. Plans are taken eagerly, so how many obstacle buffers
-/// are out at once does depend on lane timing — but never beyond a bound:
-/// after each plan dispatch back-pressure leaves at most `depth` plans
-/// untaken, and the next control tick fills one more buffer. A drive
-/// therefore takes exactly `depth + 1` obstacle buffers from the arena up
-/// front (`obs_free`) and circulates those, so the arena sees the same
-/// takes whatever the lanes do.
-struct Stages<'a> {
-    frontend: FrontEndNode<'a>,
-    detector: DetectorNode<'a>,
-    planner: PlannerNode<'a>,
-    /// The VIO filter the front-end's products commit into.
-    vio: VioFilter,
-    /// The newest taken frame's detections.
-    detections: Vec<Detection>,
-    /// Detection buffers awaiting reuse (capacity-only scratch).
-    det_free: Vec<Vec<Detection>>,
-    /// Obstacle buffers awaiting reuse: `depth + 1` taken from the arena
-    /// when the drive starts, as many as can be out at once.
-    obs_free: Vec<Vec<PlanningObstacle>>,
-    /// Per-in-flight-plan sequencing metadata, in dispatch (frame) order.
-    pending: VecDeque<PlanMeta>,
-    /// Degraded operation: every dispatch is taken before the sequencer
-    /// moves on, i.e. the pipeline is serialized without reordering
-    /// anything.
-    sync_mode: bool,
-    arena: &'a FrameArena,
-    led: &'a LatencyLedger,
-}
-
-impl Stages<'_> {
-    /// Takes front-end products in frame order — every outstanding one
-    /// when `block`, else those already done — applies each to the VIO
-    /// filter and forwards its frame to the detector.
-    fn take_frontend(&mut self, block: bool) {
-        while let Some(((frame, buf, product), sample)) = self.frontend.take(block) {
-            if let Some(delta) = &product.delta {
-                self.vio.visual_update(delta);
-            }
-            self.detector.dispatch(sample.frame, (frame, buf));
-        }
-    }
-
-    /// Takes every outstanding detection in frame order, leaving
-    /// `detections` holding the newest dispatched frame's — exactly the
-    /// serial state.
-    fn take_detections(&mut self) {
-        while let Some((out, _)) = self.detector.take(true) {
-            self.det_free
-                .push(std::mem::replace(&mut self.detections, out));
-        }
-    }
-
-    /// Takes the next plan in frame order — waiting for it when `block`
-    /// — and commits it under the equivalence rules; `false` when there
-    /// was none to take.
-    fn commit_next(&mut self, block: bool, ecu: &mut Ecu) -> bool {
-        let Some(((command, obstacles), sample)) = self.planner.take(block) else {
-            return false;
-        };
-        let meta = self.pending.pop_front().expect("one meta per plan");
-        if meta.accept && ecu.overrides_engaged_count() == meta.engage_count {
-            ecu.accept_command(command, meta.arrival);
-        }
-        // The planning stage *is* the control path: dispatch → ECU commit
-        // is the end-to-end latency Eq. 1 bounds.
-        self.led
-            .record_frame(FrameSample::from_stage(&sample, meta.degraded));
-        self.obs_free.push(obstacles);
-        true
-    }
-
-    /// An empty obstacle buffer for the next plan.
-    fn obstacle_buffer(&mut self) -> Vec<PlanningObstacle> {
-        let mut buf = self.obs_free.pop().unwrap_or_else(|| self.arena.take());
-        buf.clear();
-        buf
-    }
-
-    /// Dispatches one camera frame to the front-end (its product is
-    /// forwarded to the detector once taken), then takes what is ready —
-    /// or, when degraded, everything.
-    fn camera_frame(&mut self, frame: CameraFrame, req: Option<EgoMotionRequest>, k: u64) {
-        let buf = self.det_free.pop().unwrap_or_else(|| self.arena.take());
-        self.frontend.dispatch(k, (frame, req, buf));
-        self.take_frontend(self.sync_mode);
-        if self.sync_mode {
-            self.take_detections();
-        }
-    }
-
-    /// Dispatches planning for one control tick and commits what is
-    /// ready. `can_lost` marks a lost CAN frame: the plan is still
-    /// computed — the planner's state must advance identically — but the
-    /// command never reaches the ECU.
-    fn plan(
-        &mut self,
-        input: PlanningInput,
-        arrival: SimTime,
-        can_lost: bool,
-        frame: u64,
-        degraded: bool,
-        ecu: &mut Ecu,
-    ) {
-        self.pending.push_back(PlanMeta {
-            arrival,
-            accept: !can_lost && !ecu.override_engaged(),
-            engage_count: ecu.overrides_engaged_count(),
-            degraded,
-        });
-        self.planner.dispatch(frame, input);
-        while self.commit_next(self.sync_mode, ecu) {}
-    }
-
-    /// Per-event maintenance: eagerly forwards finished front-end products
-    /// and commits finished plans, then enforces the arrival barrier
-    /// (rule 2) before the event loop advances physics to `t`.
-    fn pump(&mut self, t: SimTime, ecu: &mut Ecu) {
-        self.take_frontend(false);
-        while self.commit_next(false, ecu) {}
-        // The barrier gates on the first meta that would actually enter
-        // the ECU queue: a CAN-lost (or engage-skipped) frame never
-        // reaches the serial ECU, so it must not head-of-line-block the
-        // commit of a later accepted command with an earlier arrival.
-        while self
-            .pending
-            .iter()
-            .find(|m| m.accept)
-            .is_some_and(|m| m.arrival <= t)
-        {
-            self.commit_next(true, ecu);
-        }
-    }
-
-    /// Priority draining of the control-critical path: when the deadline
-    /// monitor predicts an Eq. 1 overrun, the sequencer block-takes the
-    /// pending plan commits *before* dispatching the next speculative
-    /// camera frame, so the planner lane gets the sequencer's attention
-    /// (and, on a saturated host, the core) ahead of front-end work.
-    /// Output-invariant: commits stay FIFO and only move *earlier* in
-    /// wall-clock time, which the eager-commit equivalence rules already
-    /// cover. Never fires with an inline planner (nothing is pending).
-    fn priority_drain(&mut self, ecu: &mut Ecu) {
-        if !self.pending.is_empty() {
-            self.led.note_priority_drain();
-            while self.commit_next(true, ecu) {}
-        }
-    }
-
-    /// Blocks until every dispatched job has been taken — front-end first,
-    /// since it feeds the detector.
-    fn drain(&mut self, ecu: &mut Ecu) {
-        self.take_frontend(true);
-        self.take_detections();
-        while self.commit_next(true, ecu) {}
-    }
-
-    /// Health interop: entering a degraded mode drains everything in
-    /// flight (in order) and serializes subsequent dispatches; returning
-    /// to nominal resumes pipelining.
-    fn set_degraded(&mut self, degraded: bool, ecu: &mut Ecu) {
-        if degraded && !self.sync_mode {
-            self.drain(ecu);
-        }
-        self.sync_mode = degraded;
-    }
-
-    /// End of drive: drains every node, returns every pooled buffer to the
-    /// arena, and hands back the VIO filter. Dropping the nodes closes
-    /// their job rings, which is what lets the lanes exit.
-    fn shutdown(mut self, ecu: &mut Ecu) -> VioFilter {
-        self.drain(ecu);
-        for buf in self.det_free.drain(..) {
-            self.arena.recycle(buf);
-        }
-        for buf in self.obs_free.drain(..) {
-            self.arena.recycle(buf);
-        }
-        self.arena.recycle(std::mem::take(&mut self.detections));
-        self.vio
-    }
-}
-
-/// The closed-loop event kernel. Every sensing, fusion, health, and
-/// bookkeeping statement runs on the sequencer; the front-end, detection
-/// and planning go through the stage nodes, placed wherever
-/// [`PerfContext::stage_placement`] says — which is what makes
-/// bit-identity across placements auditable.
+/// The closed-loop event kernel: sensing, the three compute stages,
+/// fusion, health and bookkeeping, in event order on the calling thread.
 fn drive_loop(
-    rig: &mut Rig,
-    perf: &PerfContext,
+    sov: &mut Sov,
     scenario: &Scenario,
     max_frames: u64,
     faults: &FaultPlan,
-    (frontend, detector, planner): (FrontEndNode<'_>, DetectorNode<'_>, PlannerNode<'_>),
 ) -> DriveReport {
-    let Rig {
+    let Sov {
         config,
+        planner,
+        detector,
         camera,
         radars,
         sonars,
@@ -668,7 +318,14 @@ fn drive_loop(
         latency,
         synchronizer,
         rng,
-    } = rig;
+        perf,
+    } = sov;
+    // The visual front-end draws its seed first, before any camera event.
+    let mut frontend = FrontEnd::new(
+        rng.next_u64(),
+        camera.intrinsics().fx,
+        StereoRig::perceptin_default().baseline_m(),
+    );
     let dt = config.control_period_s();
     let world = &scenario.world;
     let route_len = world.route.length_m();
@@ -706,15 +363,13 @@ fn drive_loop(
     let health_cfg = HealthConfig::default();
     let mut health = HealthMonitor::new(health_cfg, SimTime::ZERO);
     // Tail accounting + the deadline-driven tail policy. The monitor is
-    // fed only the *modeled* computing latency — deterministic per seed
-    // and schedule-independent — so its verdicts (and any drain/shed they
-    // trigger) are identical on serial and piped drives.
+    // fed only the *modeled* computing latency — deterministic per seed —
+    // so its verdicts (and any shed they trigger) never depend on timing.
     let policy = perf.tail;
     let led = &perf.ledger;
     led.begin(&perf.arena);
     let mut monitor = DeadlineMonitor::new(health_cfg.compute_deadline);
-    // Ground-truth invariant checker: shared-path code, so serial and
-    // pipelined drives produce bit-identical safety reports.
+    // Ground-truth invariant checker.
     let mut safety = SafetyChecker::new(SafetyConfig {
         max_decel_mps2: config.vehicle.max_decel_mps2,
         ..SafetyConfig::default()
@@ -746,26 +401,21 @@ fn drive_loop(
     queue.schedule(SimTime::from_millis(50), Ev::Gps(0));
     queue.schedule(SimTime::ZERO, Ev::Control(0));
 
-    // Latest sensor products consumed by the control tick. The
-    // detection buffers come from the frame arena and circulate between
-    // the sequencer and the detector — no steady-state allocation.
+    // Latest sensor products consumed by the control tick. The newest
+    // camera frame's detections and the planner's obstacle list each live
+    // in one buffer from the frame arena, reused all drive long — no
+    // steady-state allocation.
     let mut last_scan: Option<sov_sensors::radar::RadarScan> = None;
-    let mut stages = Stages {
-        frontend,
-        detector,
-        planner,
-        vio: VioFilter::new(start_pose, VioConfig::default()),
-        detections: perf.arena.take(),
-        det_free: Vec::new(),
-        obs_free: (0..=perf.effective_pipeline_depth())
-            .map(|_| perf.arena.take())
-            .collect(),
-        pending: VecDeque::new(),
-        sync_mode: false,
-        arena: &perf.arena,
-        led,
+    let mut vio = VioFilter::new(start_pose, VioConfig::default());
+    let mut detections: Vec<Detection> = perf.arena.take();
+    let mut obstacles: Vec<PlanningObstacle> = perf.arena.take();
+    let class_of = |id| {
+        world
+            .obstacles
+            .iter()
+            .find(|o| o.id == id)
+            .map_or(ObstacleClass::StaticObject, |o| o.class)
     };
-    stages.detections.clear();
     // Camera-frame bookkeeping for the VIO front-end.
     let mut last_camera_pose = start_pose;
     let mut last_camera_t = SimTime::ZERO;
@@ -775,10 +425,6 @@ fn drive_loop(
     let mut radar_k: u64 = 0;
 
     'sim: while let Some((t, ev)) = queue.pop() {
-        // Take finished stage work and commit every plan whose arrival
-        // is due — *before* physics advances to `t`, so the ECU promotes
-        // commands exactly as the serial schedule would.
-        stages.pump(t, &mut ecu);
         // Advance the vehicle to `t` under the ECU's actuation,
         // promoting matured commands along the way.
         while physics_t < t {
@@ -869,23 +515,12 @@ fn drive_loop(
                 queue.schedule(t + camera_period, Ev::Camera(k + 1));
             }
             Ev::Camera(k) => {
-                // Priority draining: when an Eq. 1 overrun is predicted,
-                // the control-critical path (pending plan commits) is
-                // drained ahead of this speculative front-end dispatch.
-                if policy.drain && monitor.overrun_predicted() {
-                    stages.priority_drain(&mut ecu);
-                }
-                // The per-frame stage work — visual front-end (disparity,
-                // tracking, ego-motion) and detection — runs in the
-                // front-end and detector nodes, wherever they are placed
-                // (FIFO, so each stage's internal state and RNG evolve in
-                // exactly the serial frame order). Everything the
-                // ego-motion increment needs from sequencer-side state is
-                // captured *now*, at dispatch: the synchronizer's
-                // timestamp assignment (Sec. VI-A; software-only sync
-                // corrupts the increment via the rotation–translation
-                // ambiguity leak), the ECU's current yaw rate, and any
-                // injected IMU bias.
+                // The per-frame stage work: the visual front-end
+                // (disparity, tracking, ego-motion) and detection. The
+                // ego-motion increment takes the synchronizer's timestamp
+                // assignment (Sec. VI-A; software-only sync corrupts the
+                // increment via the rotation–translation ambiguity leak),
+                // the ECU's current yaw rate, and any injected IMU bias.
                 let cam_frame = camera.capture(&state.pose, world, &world.landmarks, t, rng);
                 let req = (k > 0).then(|| {
                     let offset_ms = synchronizer.camera_imu_offset_ms(k, rng);
@@ -903,7 +538,16 @@ fn drive_loop(
                             + faults.magnitude(FaultKind::ImuBiasJump, t, k),
                     }
                 });
-                stages.camera_frame(cam_frame, req, k);
+                let (product, sample) =
+                    run_inline(SENSING, k, || frontend.process(&cam_frame, req.as_ref()));
+                led.record_stage(sample);
+                if let Some(delta) = &product.delta {
+                    vio.visual_update(delta);
+                }
+                let ((), sample) = run_inline(PERCEPTION, k, || {
+                    detector.detect_into(&cam_frame, class_of, &mut detections);
+                });
+                led.record_stage(sample);
                 last_camera_pose = state.pose;
                 last_camera_t = t;
                 // Delivery carries the frame-sequence number so the
@@ -919,9 +563,6 @@ fn drive_loop(
                 queue.schedule(t + gps_period, Ev::Gps(k + 1));
             }
             Ev::Gps(k) => {
-                // Fix ingestion *reads* the VIO estimate: barrier on the
-                // front-end so the filter is in its serial state.
-                stages.take_frontend(true);
                 let quality = if faults.is_active(FaultKind::GpsMultipath, t) {
                     GnssQuality::Multipath
                 } else if scenario.gps_degraded_at(frac) {
@@ -939,7 +580,7 @@ fn drive_loop(
                 // localization running on dead-reckoned VIO, and the
                 // watchdog starving on rejections is what demotes the
                 // vehicle to DegradedLocalization speed.
-                if fusion.ingest_fix(&mut stages.vio, &fix) == FixOutcome::Fused {
+                if fusion.ingest_fix(&mut vio, &fix) == FixOutcome::Fused {
                     health.gps_seen(t);
                 }
                 queue.schedule(t + gps_period, Ev::Gps(k + 1));
@@ -963,8 +604,8 @@ fn drive_loop(
                     computing += SimDuration::from_millis_f64(spike);
                 }
                 report.computing.record(computing.as_millis_f64());
-                // The overrun predictor sees the same modeled stream on
-                // every schedule (bit-identity of the tail policy).
+                // The overrun predictor sees only the modeled stream, so
+                // the tail policy is deterministic per seed.
                 monitor.observe(computing.as_millis_f64());
                 if monitor.overrun_predicted() {
                     led.note_overrun();
@@ -988,18 +629,10 @@ fn drive_loop(
                     DegradationMode::ReactiveOnly => cruise.min(2.0),
                     DegradationMode::SafeStop => 0.0,
                 };
-                // Pipeline/health interop: a degraded tick drains the
-                // nodes and serializes (nothing is ever reordered); a
-                // nominal tick only barriers on the camera frames
-                // dispatched before this tick, so the fused position and
-                // obstacle merge below see exactly the serial VIO and
-                // detection state. Front-end first: it feeds the detector.
-                stages.set_degraded(mode != DegradationMode::Nominal, &mut ecu);
-                stages.take_frontend(true);
-                stages.take_detections();
+                let degraded = mode != DegradationMode::Nominal;
 
                 // Localization estimate drives the lane-keeping inputs.
-                let est = fusion.position(&stages.vio);
+                let est = fusion.position(&vio);
                 let (est_station, lateral) = world
                     .route
                     .project(&world.map, est.x, est.y)
@@ -1008,7 +641,7 @@ fn drive_loop(
                 // vehicle-frame lateral plus the vehicle's own route
                 // offset, so maneuver targets and obstacles share a
                 // frame.
-                let mut obstacles = stages.obstacle_buffer();
+                obstacles.clear();
                 if let Some(scan) = last_scan.as_ref() {
                     obstacles.extend(
                         scan.targets
@@ -1026,7 +659,7 @@ fn drive_loop(
                 // With the proactive perception path degraded the
                 // camera detections are stale — plan on radar alone.
                 if mode < DegradationMode::ReactiveOnly {
-                    for det in &stages.detections {
+                    for det in &detections {
                         let covered = obstacles
                             .iter()
                             .any(|o| (o.station_m - det.depth_m).abs() < 3.0);
@@ -1070,24 +703,24 @@ fn drive_loop(
                     left_lane_available: left_ok,
                     right_lane_available: right_ok,
                 };
+                let (plan, sample) = run_inline(PLANNING, frame, || planner.plan(&input));
+                led.record_stage(sample);
+                // The planner call *is* the control path: its span is the
+                // end-to-end compute Eq. 1 bounds.
+                led.record_frame(FrameSample::from_stage(&sample, degraded));
+                obstacles = input.obstacles;
                 // The command reaches the ECU after computing + CAN —
                 // unless the CAN frame is lost, in which case the ECU
-                // simply keeps actuating the previous command. The
-                // sequencer commits the planner node's result under the
-                // `Stages` equivalence rules, wherever the node runs.
+                // simply keeps actuating the previous command (the plan
+                // above still ran, so the planner's warm start advances
+                // either way). The ECU itself ignores commands while the
+                // reactive override is engaged.
                 let can_lost = faults.strikes(FaultKind::CanFrameLoss, t, frame);
                 if can_lost {
                     report.can_frames_lost += 1;
+                } else {
+                    ecu.accept_command(plan.command, t + computing + SimDuration::from_millis(1));
                 }
-                let arrival = t + computing + SimDuration::from_millis(1);
-                stages.plan(
-                    input,
-                    arrival,
-                    can_lost,
-                    frame,
-                    mode != DegradationMode::Nominal,
-                    &mut ecu,
-                );
 
                 // ---- Bookkeeping (per control tick). ----
                 battery.drain(
@@ -1124,11 +757,11 @@ fn drive_loop(
             }
         }
     }
-    // Drain whatever is still in flight (the drive can end mid-frame)
-    // and hand every pooled buffer back to the arena.
-    let vio = stages.shutdown(&mut ecu);
-    // Collect the tail breakdown and hand the ledger's buffers back to
-    // the arena (allocation-free across drives once warm).
+    // Hand the drive's buffers back to the arena, collect the tail
+    // breakdown and recycle the ledger's buffers too (allocation-free
+    // across drives once warm).
+    perf.arena.recycle(detections);
+    perf.arena.recycle(obstacles);
     report.tail = TailReport::collect(led, &perf.arena);
     report.energy_used_kwh = config.battery.capacity_kwh - battery.remaining_kwh();
     report.mode_transitions = health.transitions().len() as u64;
@@ -1371,82 +1004,20 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_drive_is_bit_identical_across_depths_and_workers() {
-        // The obstacle course exercises planner braking and mode churn;
-        // the report's exact `PartialEq` makes this a bitwise check.
+    fn every_stage_call_records_compute() {
+        // perfbench's drive split reads one compute sample per front-end,
+        // detector and planner call from the tail report.
         let scenario = Scenario::fishers_indiana(3);
-        let mut serial = Sov::new(VehicleConfig::perceptin_pod(), 3);
-        let r_serial = serial.drive(&scenario, 200).unwrap();
-        // Workers 3 keeps the front-end on the sequencer, 4 gives it its
-        // own sensing lane, 8 adds idle lanes — all one bit pattern.
-        for depth in 2..=4 {
-            for workers in [3, 4, 8] {
-                let mut piped = Sov::new(VehicleConfig::perceptin_pod(), 3);
-                piped.set_perf(PerfContext::with_pipeline_workers(depth, workers));
-                let r = piped.drive(&scenario, 200).unwrap();
-                assert_eq!(r, r_serial, "depth {depth} × workers {workers}");
-            }
-        }
-        // Too few lanes for the three stages: bit-identical serial fallback.
-        let mut narrow = Sov::new(VehicleConfig::perceptin_pod(), 3);
-        narrow.set_perf(PerfContext::with_pipeline_workers(4, 2));
-        assert_eq!(narrow.drive(&scenario, 200).unwrap(), r_serial);
-    }
-
-    #[test]
-    fn pipelined_faulted_drive_matches_serial_through_degradation() {
-        use sov_sim::time::SimTime;
-        let secs = |s: u64| SimTime::from_millis(s * 1000);
-        // Overrides (sudden obstacle) + every commit-order hazard: CAN
-        // loss, camera stall (degraded modes drain the pipeline), RPR
-        // spikes (non-monotonic command arrivals), GPS outage.
-        let scenario = Scenario::fishers_indiana(8);
-        let plan = FaultPlan::new(29)
-            .with_intensity(FaultKind::CanFrameLoss, secs(1), secs(12), 0.3)
-            .with(FaultKind::CameraStall, secs(4), secs(9))
-            .with_intensity(FaultKind::RprDelaySpike, secs(2), secs(14), 350.0)
-            .with(FaultKind::GpsOutage, secs(6), secs(16));
-        let mut serial = Sov::new(VehicleConfig::perceptin_pod(), 8);
-        let r_serial = serial.drive_with_plan(&scenario, 200, &plan).unwrap();
-        assert!(r_serial.can_frames_lost > 0, "CAN fault must fire");
-        assert!(r_serial.mode_transitions > 0, "degradation must fire");
-        for depth in [2, 4] {
-            let mut piped = Sov::new(VehicleConfig::perceptin_pod(), 8);
-            piped.set_perf(PerfContext::with_pipeline(depth));
-            let r = piped.drive_with_plan(&scenario, 200, &plan).unwrap();
-            assert_eq!(r, r_serial, "depth {depth} under faults");
-        }
-    }
-
-    #[test]
-    fn pipelined_drive_is_allocation_free_in_steady_state() {
-        // Both front-end placements: workers 3 (inline on the sequencer)
-        // and 4 (its own lane — outputs are `Copy` and frames/buffers
-        // circulate, so the extra lane adds no steady-state allocation).
-        for workers in [3, 4] {
-            let scenario = Scenario::fishers_indiana(3);
-            let mut piped = Sov::new(VehicleConfig::perceptin_pod(), 3);
-            piped.set_perf(PerfContext::with_pipeline_workers(3, workers));
-            let _ = piped.drive(&scenario, 100).unwrap();
-            // Warm arena: detection and obstacle buffers all circulate
-            // through the nodes and back without touching the allocator.
-            piped.perf().arena.reset_stats();
-            let _ = piped.drive(&scenario, 50).unwrap();
-            let stats = piped.perf().arena.stats();
-            assert_eq!(stats.allocations, 0, "workers {workers}: must reuse");
-            assert!(stats.reuses > 0, "workers {workers}: must exercise arena");
-        }
-    }
-
-    #[test]
-    fn piped_drive_records_busy_time_in_all_three_lanes() {
-        let scenario = Scenario::fishers_indiana(3);
-        let mut piped = Sov::new(VehicleConfig::perceptin_pod(), 3);
-        piped.set_perf(PerfContext::with_pipeline(3));
-        let report = piped.drive(&scenario, 100).unwrap();
-        for lane in [SENSING, PERCEPTION, PLANNING] {
-            let busy: f64 = report.tail.stage_compute_ms[lane].samples().iter().sum();
-            assert!(busy > 0.0, "lane {lane} never ran");
+        let mut sov = Sov::new(VehicleConfig::perceptin_pod(), 3);
+        let report = sov.drive(&scenario, 100).unwrap();
+        let calls = |stage: usize| report.tail.stage_compute_ms[stage].len() as u64;
+        assert_eq!(calls(PLANNING), report.frames, "one plan per control tick");
+        // 30 FPS camera against the 10 Hz control loop, no camera fault.
+        assert_eq!(calls(SENSING), 3 * (report.frames - 1) + 1);
+        assert_eq!(calls(PERCEPTION), calls(SENSING), "one detection per frame");
+        for stage in [SENSING, PERCEPTION, PLANNING] {
+            let busy: f64 = report.tail.stage_compute_ms[stage].samples().iter().sum();
+            assert!(busy > 0.0, "stage {stage} recorded no compute");
         }
     }
 

@@ -8,17 +8,14 @@
 //!
 //! * [`DeadlineMonitor`] — an EWMA-based overrun predictor over the
 //!   *modeled* computing latency that `drive_loop` already draws
-//!   deterministically per seed. Because the inputs are seed-deterministic
-//!   and schedule-independent, the monitor's verdicts are identical on
-//!   serial and piped drives — the property that lets its outputs steer
-//!   real scheduling decisions (priority draining, shedding) without
-//!   breaking the byte-identity invariant.
+//!   deterministically per seed. Because its inputs never include a
+//!   wall-clock reading, its verdicts — and the camera frames shedding
+//!   drops on them — are the same on every run of a seed.
 //! * [`TailReport`] — the per-drive tail breakdown surfaced through
-//!   `DriveReport`: end-to-end frame latency split into per-stage compute,
-//!   ring-queue wait, and drain/barrier stalls, each summarized at
-//!   p50/p99/p99.9/max. Observational only: it is excluded from
-//!   `DriveReport` equality so wall-clock jitter cannot fail a
-//!   determinism gate.
+//!   `DriveReport`: the control path's planner latency and each stage's
+//!   compute time, summarized at p50/p99/p99.9/max. Observational only:
+//!   it is excluded from `DriveReport` equality so wall-clock jitter
+//!   cannot fail a determinism gate.
 
 use sov_math::stats::Summary;
 use sov_runtime::arena::FrameArena;
@@ -33,10 +30,9 @@ use sov_sim::time::SimDuration;
 /// shift (StageOverrun, RPR delay spikes) while ignoring benign jitter.
 ///
 /// Determinism: the monitor must only ever observe values that are
-/// byte-identical across serial and piped schedules (the modeled
-/// computing latency is; wall-clock timings are NOT). Fed that way, its
-/// verdicts — and therefore any scheduling decision gated on them — are
-/// schedule-invariant.
+/// byte-identical from run to run (the modeled computing latency is;
+/// wall-clock timings are NOT). Fed that way, its verdicts — and
+/// therefore any shedding decision gated on them — are deterministic.
 #[derive(Debug, Clone)]
 pub struct DeadlineMonitor {
     deadline_ms: f64,
@@ -85,8 +81,8 @@ impl DeadlineMonitor {
         self.ewma_ms + 2.0 * self.dev_ms
     }
 
-    /// `true` when the predicted latency exceeds the Eq. 1 deadline —
-    /// the trigger for priority draining of the control-critical path.
+    /// `true` when the predicted latency exceeds the Eq. 1 deadline
+    /// (counted in [`TailReport::overruns_predicted`]).
     #[must_use]
     pub fn overrun_predicted(&self) -> bool {
         self.primed && self.predicted_ms() > self.deadline_ms
@@ -104,44 +100,27 @@ impl DeadlineMonitor {
 /// Per-drive tail-latency breakdown, collected from the
 /// [`LatencyLedger`] at drive end.
 ///
-/// All durations are milliseconds. `total`, `compute`, `queue`, and
-/// `stall` summarize the *control path* (planning dispatch → ECU commit,
-/// one sample per planned frame); the `stage_*` arrays break the same
-/// components out per lane (0 = sensing, 1 = perception, 2 = planning),
-/// where sensing/perception samples are per *camera* frame.
+/// All durations are milliseconds. `total_ms` summarizes the *control
+/// path* — the planner call of each planned frame; `stage_compute_ms`
+/// breaks compute out per stage (0 = sensing, 1 = perception,
+/// 2 = planning), where sensing/perception samples are per *camera*
+/// frame. A drive runs every stage on the calling thread, so no stage
+/// waits on a queue and every sample is compute.
 ///
 /// Excluded from `DriveReport` equality: these are wall-clock
-/// measurements and legitimately differ between schedules — that
-/// asymmetry is the entire point of measuring them.
+/// measurements and differ from run to run.
 #[derive(Debug, Clone, Default)]
 pub struct TailReport {
     /// Control-path frames sampled (== planned frames).
     pub frames: u64,
-    /// End-to-end control-path latency (dispatch → commit).
+    /// Control-path latency: the planner call of each planned frame.
     pub total_ms: Summary,
-    /// Compute component of `total_ms`.
-    pub compute_ms: Summary,
-    /// Ring-queue wait component of `total_ms`.
-    pub queue_ms: Summary,
-    /// Drain/barrier stall component of `total_ms`.
-    pub stall_ms: Summary,
-    /// Per-lane compute summaries (sensing, perception, planning).
+    /// Per-stage compute summaries (sensing, perception, planning).
     pub stage_compute_ms: [Summary; STAGES],
-    /// Per-lane queue-wait summaries.
-    pub stage_queue_ms: [Summary; STAGES],
-    /// Per-lane stall summaries.
-    pub stage_stall_ms: [Summary; STAGES],
-    /// End-to-end latency over frames planned in `Nominal` mode only.
+    /// Control-path latency over frames planned in `Nominal` mode only.
     pub nominal_total_ms: Summary,
-    /// End-to-end latency over frames planned while degraded.
+    /// Control-path latency over frames planned while degraded.
     pub degraded_total_ms: Summary,
-    /// Worst accounting residual across every sample: |span − (compute +
-    /// queue + stall)|. Bounded by timer granularity; the attribution
-    /// proptest gates on it.
-    pub max_residual_ns: u64,
-    /// Priority drains executed (control path reordered ahead of
-    /// speculative front-end work).
-    pub priority_drains: u64,
     /// Camera frames shed by the escalation step.
     pub sheds: u64,
     /// Frames for which the monitor predicted an Eq. 1 overrun.
@@ -161,26 +140,19 @@ impl TailReport {
             };
             for s in stages {
                 r.stage_compute_ms[s.stage].record(s.compute_ns as f64 / MS);
-                r.stage_queue_ms[s.stage].record(s.queue_ns as f64 / MS);
-                r.stage_stall_ms[s.stage].record(s.stall_ns as f64 / MS);
-                r.max_residual_ns = r.max_residual_ns.max(s.residual_ns());
             }
             for f in frames {
-                r.total_ms.record(f.total_ns as f64 / MS);
-                r.compute_ms.record(f.compute_ns as f64 / MS);
-                r.queue_ms.record(f.queue_ns as f64 / MS);
-                r.stall_ms.record(f.stall_ns as f64 / MS);
+                let total = f.total_ns as f64 / MS;
+                r.total_ms.record(total);
                 if f.degraded {
-                    r.degraded_total_ms.record(f.total_ns as f64 / MS);
+                    r.degraded_total_ms.record(total);
                 } else {
-                    r.nominal_total_ms.record(f.total_ns as f64 / MS);
+                    r.nominal_total_ms.record(total);
                 }
-                r.max_residual_ns = r.max_residual_ns.max(f.residual_ns());
             }
             r
         });
         let c = ledger.counters();
-        out.priority_drains = c.priority_drains;
         out.sheds = c.sheds;
         out.overruns_predicted = c.overruns_predicted;
         ledger.finish(arena);
@@ -245,24 +217,16 @@ mod tests {
         let ledger = LatencyLedger::default();
         ledger.begin(&arena);
         let base = Instant::now();
-        let [t0, t1, t2, t3] =
-            [0u64, 10, 30, 40].map(|us| base + std::time::Duration::from_micros(us));
-        ledger.record_stage(StageSample::from_stamps(2, 0, t0, t1, t2, t3, 5_000));
-        let f = FrameSample {
-            frame: 0,
-            total_ns: 40_000,
-            compute_ns: 20_000,
-            queue_ns: 15_000,
-            stall_ns: 5_000,
-            degraded: false,
-        };
+        let [t0, t2] = [0u64, 40].map(|us| base + std::time::Duration::from_micros(us));
+        let plan = StageSample::from_stamps(2, 0, t0, t0, t2, t2, 0);
+        ledger.record_stage(plan);
+        let f = FrameSample::from_stage(&plan, false);
         ledger.record_frame(f);
         ledger.record_frame(FrameSample {
             degraded: true,
             frame: 1,
             ..f
         });
-        ledger.note_priority_drain();
         ledger.note_overrun();
         let report = TailReport::collect(&ledger, &arena);
         assert_eq!(report.frames, 2);
@@ -271,11 +235,10 @@ mod tests {
         assert_eq!(report.degraded_total_ms.len(), 1);
         assert_eq!(report.stage_compute_ms[2].len(), 1);
         assert_eq!(report.stage_compute_ms[0].len(), 0);
-        assert_eq!(report.priority_drains, 1);
         assert_eq!(report.sheds, 0);
         assert_eq!(report.overruns_predicted, 1);
-        assert_eq!(report.max_residual_ns, 0, "samples telescope exactly");
         assert!((report.total_ms.max() - 0.04).abs() < 1e-12);
+        assert!((report.stage_compute_ms[2].max() - 0.04).abs() < 1e-12);
         // Buffers went back to the arena; a second collect sees nothing.
         ledger.begin(&arena);
         let empty = TailReport::collect(&ledger, &arena);

@@ -363,11 +363,13 @@ impl KdTree {
         if dist_sq(query, &self.points[node.point]) <= r_sq {
             out.push(node.point);
         }
+        // Inclusive, like the `<= r_sq` test above: a point sharing the
+        // split coordinate may sit in either subtree, exactly `r` away.
         let delta = query[node.axis] - self.points[node.point][node.axis];
-        if delta < r {
+        if delta <= r {
             self.radius_rec(node.left, query, r_sq, r, out, trace);
         }
-        if delta > -r {
+        if delta >= -r {
             self.radius_rec(node.right, query, r_sq, r, out, trace);
         }
     }
@@ -501,6 +503,7 @@ impl KnnHeap {
 mod tests {
     use super::*;
     use sov_math::SovRng;
+    use sov_testkit::prelude::*;
 
     fn random_cloud(n: usize, seed: u64) -> PointCloud {
         let mut rng = SovRng::seed_from_u64(seed);
@@ -547,24 +550,81 @@ mod tests {
         }
     }
 
+    /// A cloud on a grid of `step`-spaced coordinates (a power of two, so
+    /// every difference and square is exact): many points share a split
+    /// coordinate, and many lie at exactly an integer number of steps.
+    fn grid_cloud(n: usize, seed: u64, step: f64) -> PointCloud {
+        let mut rng = SovRng::seed_from_u64(seed);
+        PointCloud::from_points(
+            (0..n)
+                .map(|_| {
+                    [
+                        step * rng.index(9) as f64,
+                        step * rng.index(9) as f64,
+                        step * rng.index(3) as f64,
+                    ]
+                })
+                .collect(),
+        )
+    }
+
     #[test]
-    fn radius_search_matches_brute_force() {
-        let cloud = random_cloud(300, 3);
+    fn radius_search_keeps_a_tied_split_point_at_the_radius() {
+        // The root splits on x at [1, 1, 0]; [1, 0, 0] shares its x, sits
+        // in the left subtree, and lies exactly 1 from the query, whose
+        // delta to the split plane is exactly the radius.
+        let cloud =
+            PointCloud::from_points(vec![[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 2.0, 0.0]]);
         let tree = KdTree::build(&cloud);
-        let q = [0.5, -0.5, 2.0];
-        let r = 3.0;
-        let mut from_tree = tree.radius_search(&q, r);
-        from_tree.sort_unstable();
-        let mut brute: Vec<usize> = cloud
-            .points()
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| dist_sq(&q, p) <= r * r)
-            .map(|(i, _)| i)
-            .collect();
-        brute.sort_unstable();
-        assert_eq!(from_tree, brute);
-        assert!(!from_tree.is_empty());
+        assert_eq!(tree.radius_search(&[2.0, 0.0, 0.0], 1.0), vec![0]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn radius_search_matches_brute_force(
+            n in 1usize..300,
+            seed in 0u64..5_000,
+            step_log2 in 0u32..3,
+            r_steps in 1usize..5,
+        ) {
+            let step = 0.5f64.powi(step_log2 as i32);
+            let cloud = grid_cloud(n, seed, step);
+            let tree = KdTree::build(&cloud);
+            let points = cloud.points();
+            let r = step * r_steps as f64;
+            let mut rng = SovRng::seed_from_u64(seed ^ 0x5EA5);
+            for i in 0..40 {
+                // Half the queries sit on a cloud point, half on the grid.
+                let q = if i % 2 == 0 {
+                    points[rng.index(points.len())]
+                } else {
+                    grid_cloud(1, rng.next_u64(), step).points()[0]
+                };
+                let mut by_distance: Vec<(f64, usize)> =
+                    points.iter().enumerate().map(|(j, p)| (dist_sq(&q, p), j)).collect();
+                by_distance.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+
+                let mut found = tree.radius_search(&q, r);
+                found.sort_unstable();
+                let mut brute: Vec<usize> = by_distance
+                    .iter()
+                    .filter(|(d, _)| *d <= r * r)
+                    .map(|&(_, j)| j)
+                    .collect();
+                brute.sort_unstable();
+                prop_assert_eq!(found, brute, "radius {} around {:?}", r, q);
+
+                let (_, near) = tree.nearest(&q).expect("non-empty");
+                prop_assert_eq!(near, by_distance[0].0.sqrt(), "nearest to {:?}", q);
+
+                let k = 1 + rng.index(8);
+                let want: Vec<(usize, f64)> =
+                    by_distance.iter().take(k).map(|&(d, j)| (j, d.sqrt())).collect();
+                prop_assert_eq!(tree.k_nearest(&q, k), want, "{} nearest to {:?}", k, q);
+            }
+        }
     }
 
     #[test]

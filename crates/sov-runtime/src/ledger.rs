@@ -2,15 +2,16 @@
 //!
 //! The paper's Eq. 1 bounds *end-to-end* frame latency, but a bound is
 //! only actionable if every nanosecond of a slow frame can be blamed on
-//! something: stage compute, ring-queue wait, or a drain/barrier stall on
-//! the control path. The COLA argument (PAPERS.md) is that L4 safety
+//! something: stage compute, ring-queue wait, or a stall of the sequencer
+//! waiting on a lane. The COLA argument (PAPERS.md) is that L4 safety
 //! hangs on the p99.9/max tail of exactly this decomposition — the median
 //! tells you nothing about the one frame in a thousand that arrives late.
 //!
 //! [`LatencyLedger`] is the recording half: an allocation-free (arena
 //! backed) log of per-stage and per-frame samples, written exclusively by
-//! the sequencer thread of a drive or replay. Every sample carries an
-//! exact telescoping decomposition of its measured span:
+//! the thread that runs a drive or a replay's sequencer. Every stage
+//! sample carries an exact telescoping decomposition of its measured
+//! span:
 //!
 //! ```text
 //! span = (t1 − t0)   queue-in:  dispatch → lane picks the job up
@@ -24,15 +25,15 @@
 //! in the done ring while the sequencer did other work). All four stamps
 //! come from one monotonic clock, so the components sum to the directly
 //! measured span exactly; [`StageSample::residual_ns`] is the audit of
-//! that identity and is proptested to stay within one timer tick across
-//! every depth × worker × fault combination.
+//! that identity. Only the Fig. 5 replay's lane nodes wait on rings; a
+//! drive runs every stage inline, so its samples are pure compute.
 //!
 //! The ledger is pure telemetry: it is written with interior mutability
-//! from the sequencer only, never read back into any computed value, and
+//! from that thread only, never read back into any computed value, and
 //! therefore cannot perturb the bit-identity invariant. [`TailPolicy`]
-//! lives here too (the knob is runtime state like the pipeline depth),
-//! but the policy *mechanisms* — deadline prediction, priority draining,
-//! shedding — live in `sov-core`, where determinism is argued.
+//! lives here too (the knob is runtime state), but the shedding
+//! *mechanism* — deadline prediction and the shed decision — lives in
+//! `sov-core`, where determinism is argued.
 
 use crate::arena::FrameArena;
 use std::cell::{Cell, RefCell};
@@ -67,8 +68,8 @@ pub struct StageSample {
     pub queue_ns: u64,
     /// The stage's own compute time (`t2 − t1`), ns.
     pub compute_ns: u64,
-    /// Time the sequencer spent *blocked* on this result (drain/barrier
-    /// stall on the control path), ns.
+    /// Time the sequencer spent *blocked* waiting for this result on its
+    /// lane, ns.
     pub stall_ns: u64,
 }
 
@@ -114,20 +115,14 @@ impl StageSample {
 }
 
 /// One control frame's end-to-end latency on the control-critical path:
-/// planning dispatch → ECU commit, with the same queue/compute/stall
-/// split as [`StageSample`].
+/// the planner call of that frame, from dispatch to the command it
+/// returns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameSample {
     /// Control frame index.
     pub frame: u64,
-    /// Directly measured dispatch→commit span, ns.
+    /// Directly measured planner span, ns.
     pub total_ns: u64,
-    /// Compute component, ns.
-    pub compute_ns: u64,
-    /// Ring-queue component, ns.
-    pub queue_ns: u64,
-    /// Sequencer blocked-wait component, ns.
-    pub stall_ns: u64,
     /// Whether the vehicle was degraded (non-Nominal) at dispatch.
     pub degraded: bool,
 }
@@ -139,67 +134,35 @@ impl FrameSample {
         Self {
             frame: s.frame,
             total_ns: s.span_ns,
-            compute_ns: s.compute_ns,
-            queue_ns: s.queue_ns,
-            stall_ns: s.stall_ns,
             degraded,
         }
     }
-
-    /// Absolute difference between the measured total and the component
-    /// sum — the per-frame half of the attribution audit.
-    #[must_use]
-    pub fn residual_ns(&self) -> u64 {
-        let sum = self.compute_ns + self.queue_ns + self.stall_ns;
-        self.total_ns.abs_diff(sum)
-    }
 }
 
-/// The deadline-driven tail-optimization knobs, threaded through
-/// [`crate::PerfContext`]. Both default **off**: the nominal schedule is
-/// the reference that everything else must match bit for bit.
+/// The deadline-driven tail-optimization knob, threaded through
+/// [`crate::PerfContext`]. Off by default: the nominal schedule is the
+/// reference every digest is recorded against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TailPolicy {
-    /// Priority draining: when the deadline monitor predicts an Eq. 1
-    /// overrun, the sequencer block-drains in-flight plan commits *ahead
-    /// of* dispatching speculative front-end work. Pure reordering of
-    /// already-proven-safe eager commits — output-invariant, so a
-    /// drain-enabled drive stays byte-identical to serial.
-    pub drain: bool,
     /// Adaptive shedding: when the monitor predicts a *severe* overrun,
     /// the lowest-priority pending stage (the speculative camera frame)
     /// is dropped for that slot. Deterministic (driven only by modeled
-    /// latencies) but **output-changing**: a shed drive matches the
-    /// serial drive running the same policy, not the nominal drive.
+    /// latencies) but **output-changing**: a shed drive differs from the
+    /// nominal drive of the same seed.
     pub shed: bool,
 }
 
 impl TailPolicy {
-    /// Priority draining only (the output-invariant optimization).
+    /// Adaptive shedding on.
     #[must_use]
-    pub fn draining() -> Self {
-        Self {
-            drain: true,
-            shed: false,
-        }
-    }
-
-    /// Draining plus shedding (the escalation step).
-    #[must_use]
-    pub fn draining_and_shedding() -> Self {
-        Self {
-            drain: true,
-            shed: true,
-        }
+    pub fn shedding() -> Self {
+        Self { shed: true }
     }
 }
 
 /// Event counters accumulated by a [`LatencyLedger`] over one drive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LedgerCounters {
-    /// Camera events where the sequencer block-drained pending plan
-    /// commits ahead of speculative front-end work.
-    pub priority_drains: u64,
     /// Camera frames shed by the escalation policy.
     pub sheds: u64,
     /// Control ticks at which the deadline monitor predicted an Eq. 1
@@ -213,13 +176,13 @@ pub struct LedgerCounters {
 /// tail breakdown without touching the heap (the same discipline as every
 /// other per-frame buffer).
 ///
-/// Written only from the sequencer thread (interior mutability, not
-/// `Sync` — the owning [`crate::PerfContext`] already is not).
+/// Written only from the drive's or sequencer's thread (interior
+/// mutability, not `Sync` — the owning [`crate::PerfContext`] already is
+/// not).
 #[derive(Debug, Default)]
 pub struct LatencyLedger {
     stages: RefCell<Vec<StageSample>>,
     frames: RefCell<Vec<FrameSample>>,
-    priority_drains: Cell<u64>,
     sheds: Cell<u64>,
     overruns: Cell<u64>,
 }
@@ -239,7 +202,6 @@ impl LatencyLedger {
         }
         stages.clear();
         frames.clear();
-        self.priority_drains.set(0);
         self.sheds.set(0);
         self.overruns.set(0);
     }
@@ -252,11 +214,6 @@ impl LatencyLedger {
     /// Records one control frame's end-to-end sample.
     pub fn record_frame(&self, sample: FrameSample) {
         self.frames.borrow_mut().push(sample);
-    }
-
-    /// Notes a priority drain (see [`LedgerCounters`]).
-    pub fn note_priority_drain(&self) {
-        self.priority_drains.set(self.priority_drains.get() + 1);
     }
 
     /// Notes a shed camera frame.
@@ -273,7 +230,6 @@ impl LatencyLedger {
     #[must_use]
     pub fn counters(&self) -> LedgerCounters {
         LedgerCounters {
-            priority_drains: self.priority_drains.get(),
             sheds: self.sheds.get(),
             overruns_predicted: self.overruns.get(),
         }
@@ -333,7 +289,6 @@ mod tests {
         assert_eq!(s.residual_ns(), 0);
         let f = FrameSample::from_stage(&s, false);
         assert_eq!(f.total_ns, s.span_ns);
-        assert_eq!(f.residual_ns(), 0);
     }
 
     #[test]
@@ -347,18 +302,13 @@ mod tests {
         led.record_frame(FrameSample {
             frame: 0,
             total_ns: 1,
-            compute_ns: 1,
-            queue_ns: 0,
-            stall_ns: 0,
             degraded: false,
         });
-        led.note_priority_drain();
         led.note_shed();
         led.note_overrun();
         assert_eq!(
             led.counters(),
             LedgerCounters {
-                priority_drains: 1,
                 sheds: 1,
                 overruns_predicted: 1
             }
@@ -387,15 +337,7 @@ mod tests {
 
     #[test]
     fn tail_policy_constructors() {
-        assert_eq!(
-            TailPolicy::default(),
-            TailPolicy {
-                drain: false,
-                shed: false
-            }
-        );
-        assert!(TailPolicy::draining().drain && !TailPolicy::draining().shed);
-        let both = TailPolicy::draining_and_shedding();
-        assert!(both.drain && both.shed);
+        assert_eq!(TailPolicy::default(), TailPolicy { shed: false });
+        assert!(TailPolicy::shedding().shed);
     }
 }

@@ -20,19 +20,22 @@
 //! sequencer side: the sequencer never blocks on a send, and every
 //! blocking receive waits on a lane that is computing.
 //!
-//! Two sequencers drive nodes: `Sov::drive_with_plan` (front-end,
-//! detector and planner, paced by the simulated event loop) and
-//! [`FramePipeline::run`] (sense, perceive and plan over frame indices,
-//! the Fig. 5 replay).
+//! [`FramePipeline::run`] is the sequencer that drives nodes: sense,
+//! perceive and plan over frame indices, the Fig. 5 replay.
+//! `Sov::drive_with_plan` runs its front-end, detector and planner on the
+//! calling thread instead: their simulated calls last microseconds, about
+//! the cost of one ring hand-off, so lanes never paid there (DESIGN.md
+//! §9). It times each call with [`run_inline`], the helper an inline node
+//! uses too, so this module stays the one place that reads the clock for
+//! stage samples.
 //!
 //! # Determinism
 //!
-//! A node runs its jobs in dispatch order on every placement, and both
-//! sequencers dispatch each stage's frames in frame order. A stateful
+//! A node runs its jobs in dispatch order on every placement, and the
+//! sequencer dispatches each stage's frames in frame order. A stateful
 //! stage closure therefore observes the serial sequence of inputs
 //! whatever the mapping, and outputs are **byte-identical** to the serial
-//! schedule. The tests in this module and the drive-level tests in
-//! `sov-core` assert exactly that.
+//! schedule. The tests in this module assert exactly that.
 
 use crate::ledger::{LatencyLedger, StageSample, PERCEPTION, PLANNING, SENSING};
 use crate::pool::WorkerPool;
@@ -316,17 +319,39 @@ pub enum Placement {
 /// [`WorkerPool::run_lanes`] for as long as the node is alive.
 pub type LaneBody<'env> = Box<dyn FnOnce() + Send + 'env>;
 
-/// One stage result: frame, output, and the dispatch, compute-start and
+/// Runs one call of stage `stage_index` for `frame` on the calling thread
+/// and returns its output with its ledger sample — not yet recorded. The
+/// call is pure compute: `t0 == t1` and `t2 == t3`, no queue, no stall.
+pub fn run_inline<Out>(
+    stage_index: usize,
+    frame: u64,
+    stage: impl FnOnce() -> Out,
+) -> (Out, StageSample) {
+    let t0 = Instant::now();
+    let out = stage();
+    let t2 = Instant::now();
+    let sample = StageSample::from_stamps(stage_index, frame, t0, t0, t2, t2, 0);
+    (out, sample)
+}
+
+/// One lane result: frame, output, and the dispatch, compute-start and
 /// compute-end stamps of its ledger sample.
 type Done<Out> = (u64, Out, [Instant; 3]);
 
 enum Exec<'env, In, Out> {
-    Inline(Box<dyn FnMut(In) -> Out + Send + 'env>),
+    Inline {
+        stage: Box<dyn FnMut(In) -> Out + Send + 'env>,
+        /// Results computed at dispatch and not yet taken.
+        ready: VecDeque<(Out, StageSample)>,
+    },
     Lane {
         jobs: RingSender<(u64, In, Instant)>,
         done: RingReceiver<Done<Out>>,
         /// Jobs sent whose results are still on the lane side.
         out: usize,
+        /// Results `dispatch` pulled off the lane to make room, with the
+        /// stall spent waiting for them.
+        parked: VecDeque<(Done<Out>, u64)>,
     },
 }
 
@@ -339,9 +364,6 @@ pub struct StageNode<'env, In, Out> {
     depth: usize,
     ledger: &'env LatencyLedger,
     exec: Exec<'env, In, Out>,
-    /// Results already on the sequencer side — inline results and lane
-    /// results parked by `dispatch` — with the stall spent parking them.
-    parked: VecDeque<(Done<Out>, u64)>,
 }
 
 /// Blocks for a lane's next result; returns it with its absorb stamp and
@@ -376,7 +398,13 @@ impl<'env, In: Send + 'env, Out: Send + 'env> StageNode<'env, In, Out> {
     {
         assert!(depth > 0, "a stage node needs depth at least 1");
         let (exec, body) = match placement {
-            Placement::Inline => (Exec::Inline(Box::new(stage)), None),
+            Placement::Inline => {
+                let exec = Exec::Inline {
+                    stage: Box::new(stage),
+                    ready: VecDeque::with_capacity(depth),
+                };
+                (exec, None)
+            }
             Placement::Lane => {
                 let (jobs, job_rx) = ring::<(u64, In, Instant)>(depth);
                 let (done_tx, done) = ring::<Done<Out>>(depth);
@@ -392,7 +420,13 @@ impl<'env, In: Send + 'env, Out: Send + 'env> StageNode<'env, In, Out> {
                         }
                     }
                 });
-                (Exec::Lane { jobs, done, out: 0 }, Some(body))
+                let exec = Exec::Lane {
+                    jobs,
+                    done,
+                    out: 0,
+                    parked: VecDeque::with_capacity(depth),
+                };
+                (exec, Some(body))
             }
         };
         let node = Self {
@@ -400,7 +434,6 @@ impl<'env, In: Send + 'env, Out: Send + 'env> StageNode<'env, In, Out> {
             depth,
             ledger,
             exec,
-            parked: VecDeque::with_capacity(depth),
         };
         (node, body)
     }
@@ -414,17 +447,19 @@ impl<'env, In: Send + 'env, Out: Send + 'env> StageNode<'env, In, Out> {
     /// Panics if the node's lane has exited (its stage panicked).
     pub fn dispatch(&mut self, frame: u64, input: In) {
         match &mut self.exec {
-            Exec::Inline(stage) => {
-                let t0 = Instant::now();
-                let out = stage(input);
-                self.parked
-                    .push_back(((frame, out, [t0, t0, Instant::now()]), 0));
+            Exec::Inline { stage, ready } => {
+                ready.push_back(run_inline(self.stage, frame, || stage(input)));
             }
-            Exec::Lane { jobs, done, out } => {
+            Exec::Lane {
+                jobs,
+                done,
+                out,
+                parked,
+            } => {
                 if *out == self.depth {
                     let (d, _, stall_ns) = wait(done);
                     *out -= 1;
-                    self.parked.push_back((d, stall_ns));
+                    parked.push_back((d, stall_ns));
                 }
                 if jobs.send((frame, input, Instant::now())).is_err() {
                     panic!("stage lane exited");
@@ -447,25 +482,28 @@ impl<'env, In: Send + 'env, Out: Send + 'env> StageNode<'env, In, Out> {
     ///
     /// Panics if a blocking take finds the node's lane gone.
     pub fn take(&mut self, block: bool) -> Option<(Out, StageSample)> {
-        let ((frame, out, [t0, t1, t2]), t3, stall_ns) =
-            match (self.parked.pop_front(), &mut self.exec) {
-                (Some((d, _)), Exec::Inline(_)) => {
-                    let t2 = d.2[2];
-                    (d, t2, 0)
-                }
-                (Some((d, stall_ns)), Exec::Lane { .. }) => (d, Instant::now(), stall_ns),
-                (None, Exec::Lane { done, out, .. }) if *out > 0 => {
-                    let taken = if block {
-                        wait(done)
-                    } else {
-                        (done.try_recv()?, Instant::now(), 0)
-                    };
-                    *out -= 1;
-                    taken
-                }
-                (None, _) => return None,
-            };
-        let sample = StageSample::from_stamps(self.stage, frame, t0, t1, t2, t3, stall_ns);
+        let (out, sample) = match &mut self.exec {
+            Exec::Inline { ready, .. } => ready.pop_front()?,
+            Exec::Lane {
+                done, out, parked, ..
+            } => {
+                let ((frame, output, [t0, t1, t2]), t3, stall_ns) = match parked.pop_front() {
+                    Some((d, stall_ns)) => (d, Instant::now(), stall_ns),
+                    None if *out > 0 => {
+                        let taken = if block {
+                            wait(done)
+                        } else {
+                            (done.try_recv()?, Instant::now(), 0)
+                        };
+                        *out -= 1;
+                        taken
+                    }
+                    None => return None,
+                };
+                let sample = StageSample::from_stamps(self.stage, frame, t0, t1, t2, t3, stall_ns);
+                (output, sample)
+            }
+        };
         self.ledger.record_stage(sample);
         Some((out, sample))
     }
