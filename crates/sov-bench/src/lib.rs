@@ -25,32 +25,61 @@ pub fn mix(h: u64, v: u64) -> u64 {
 /// Digest of a [`DriveReport`] for display and for the committed
 /// baselines; equality gates themselves use the report's exact bitwise
 /// `PartialEq`.
+///
+/// Folds every field that `PartialEq` compares, in declaration order,
+/// and nothing of the wall-clock `tail`. A [`Summary`] contributes its
+/// sample count and its samples' bits in stored order.
 #[must_use]
 pub fn digest_report(r: &DriveReport) -> u64 {
-    let mut h = mix(0, r.frames);
+    let summary = |h: u64, s: &Summary| {
+        s.samples()
+            .iter()
+            .fold(mix(h, s.len() as u64), |h, v| mix(h, v.to_bits()))
+    };
+    let mut h = [
+        r.outcome as u64,
+        r.frames,
+        r.distance_m.to_bits(),
+        r.override_engagements,
+        r.override_ticks,
+    ]
+    .into_iter()
+    .fold(0, mix);
+    h = summary(h, &r.computing);
     for v in [
-        r.distance_m,
         r.min_obstacle_gap_m,
         r.energy_used_kwh,
         r.final_localization_error_m,
         r.mean_cross_track_error_m,
-        r.computing.mean(),
     ] {
         h = mix(h, v.to_bits());
-    }
-    for v in [
-        r.override_engagements,
-        r.override_ticks,
-        r.mode_transitions,
-        r.deadline_misses,
-        r.can_frames_lost,
-    ] {
-        h = mix(h, v);
     }
     for t in r.mode_ticks {
         h = mix(h, t);
     }
-    h
+    h = mix(h, r.mode_transitions);
+    h = summary(h, &r.recovery_ms);
+    for v in [
+        r.deadline_misses,
+        r.can_frames_lost,
+        r.frames_shed,
+        r.safety.checked_ticks,
+        r.safety.violations,
+    ] {
+        h = mix(h, v);
+    }
+    match &r.safety.first {
+        None => mix(h, 0),
+        Some(v) => [
+            1,
+            v.frame,
+            v.invariant as u64,
+            v.gap_m.to_bits(),
+            v.speed_mps.to_bits(),
+        ]
+        .into_iter()
+        .fold(h, mix),
+    }
 }
 
 /// `[p50, p99, p99.9, max]` of a summary — the four points every latency
@@ -100,6 +129,108 @@ pub fn times(ratio: f64) -> String {
 
 #[cfg(test)]
 mod tests {
+    use super::digest_report;
+    use sov_core::safety::{Invariant, SafetyViolation};
+    use sov_core::sov::{DriveOutcome, DriveReport};
+    use sov_math::stats::Summary;
+
+    fn report() -> DriveReport {
+        DriveReport {
+            outcome: DriveOutcome::Completed,
+            frames: 300,
+            distance_m: 812.5,
+            override_engagements: 2,
+            override_ticks: 9,
+            computing: [4.0, 5.5, 4.25].into_iter().collect(),
+            min_obstacle_gap_m: 3.75,
+            energy_used_kwh: 0.125,
+            final_localization_error_m: 0.5,
+            mean_cross_track_error_m: 0.25,
+            mode_ticks: [280, 12, 6, 2],
+            mode_transitions: 4,
+            recovery_ms: [900.0, 1200.0].into_iter().collect(),
+            deadline_misses: 3,
+            can_frames_lost: 1,
+            frames_shed: 7,
+            safety: sov_core::SafetyReport {
+                checked_ticks: 300,
+                violations: 1,
+                first: Some(SafetyViolation {
+                    frame: 40,
+                    invariant: Invariant::MinGap,
+                    gap_m: 1.5,
+                    speed_mps: 2.0,
+                }),
+            },
+            tail: sov_core::TailReport::default(),
+        }
+    }
+
+    #[test]
+    fn digest_sees_every_compared_field() {
+        type Perturb = fn(&mut DriveReport);
+        let perturbations: [(&str, Perturb); 25] = [
+            ("outcome", |r| r.outcome = DriveOutcome::Stopped),
+            ("frames", |r| r.frames += 1),
+            ("distance_m", |r| r.distance_m += 1.0),
+            ("override_engagements", |r| r.override_engagements += 1),
+            ("override_ticks", |r| r.override_ticks += 1),
+            ("computing sample", |r| {
+                r.computing = [4.0, 5.5, 4.5].into_iter().collect();
+            }),
+            ("computing order", |r| {
+                r.computing = [5.5, 4.0, 4.25].into_iter().collect();
+            }),
+            ("computing count", |r| r.computing.record(0.0)),
+            ("min_obstacle_gap_m", |r| r.min_obstacle_gap_m += 1.0),
+            ("energy_used_kwh", |r| r.energy_used_kwh += 1.0),
+            ("final_localization_error_m", |r| {
+                r.final_localization_error_m += 1.0;
+            }),
+            ("mean_cross_track_error_m", |r| {
+                r.mean_cross_track_error_m += 1.0
+            }),
+            ("mode_ticks", |r| r.mode_ticks[3] += 1),
+            ("mode_transitions", |r| r.mode_transitions += 1),
+            ("recovery_ms", |r| r.recovery_ms = Summary::new()),
+            ("deadline_misses", |r| r.deadline_misses += 1),
+            ("can_frames_lost", |r| r.can_frames_lost += 1),
+            ("frames_shed", |r| r.frames_shed += 1),
+            ("safety.checked_ticks", |r| r.safety.checked_ticks += 1),
+            ("safety.violations", |r| r.safety.violations += 1),
+            ("safety.first", |r| r.safety.first = None),
+            ("safety.first.frame", |r| {
+                r.safety.first.as_mut().expect("set").frame += 1;
+            }),
+            ("safety.first.invariant", |r| {
+                r.safety.first.as_mut().expect("set").invariant = Invariant::NoCollision;
+            }),
+            ("safety.first.gap_m", |r| {
+                r.safety.first.as_mut().expect("set").gap_m += 1.0;
+            }),
+            ("safety.first.speed_mps", |r| {
+                r.safety.first.as_mut().expect("set").speed_mps += 1.0;
+            }),
+        ];
+        let base = report();
+        let digest = digest_report(&base);
+        for (field, perturb) in perturbations {
+            let mut changed = report();
+            perturb(&mut changed);
+            assert_ne!(
+                changed, base,
+                "{field}: the perturbation must be visible to PartialEq"
+            );
+            assert_ne!(digest_report(&changed), digest, "{field}");
+        }
+        // The wall-clock tail is outside both equality and the digest.
+        let mut timed = report();
+        timed.tail.frames = 99;
+        timed.tail.total_ms.record(12.0);
+        assert_eq!(timed, base);
+        assert_eq!(digest_report(&timed), digest);
+    }
+
     #[test]
     fn default_seed() {
         assert_eq!(super::seed_from_args(), 42);

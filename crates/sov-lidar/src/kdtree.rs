@@ -61,13 +61,30 @@ impl KdTree {
 
     /// [`Self::build`] with optional intra-frame parallelism.
     ///
+    /// Every node splits its subtree at the median on axis `depth % 3`,
+    /// exactly as stable-sorting the subtree's indices on that axis at
+    /// every level would (`build_stable_sort`, the tests' oracle). Stable
+    /// sorts of stable sorts order a depth-`d` subtree by a total order:
+    /// `(x, index)` at the root, `(y, x, index)` below it, and
+    /// `(a_d, a_{d-1}, a_{d-2}, index)` from depth 2 on, with `a_k` the
+    /// axis `k % 3`. So the build ranks
+    /// each axis once, packs those keys into one `u128` per point, and
+    /// each node selects its median with `select_nth_unstable`: the same
+    /// median and the same two child sets, in O(n log n).
+    ///
     /// The arena layout is pre-order (a node, then its whole left subtree,
     /// then its right), so a subtree of `m` points occupies exactly `m`
     /// contiguous arena slots whose positions are known before the subtree
     /// is built. The top of the tree is expanded serially into at most
-    /// [`MAX_SUBTREE_JOBS`] subtree jobs owning disjoint node and index
+    /// [`MAX_SUBTREE_JOBS`] subtree jobs owning disjoint node and key
     /// ranges; jobs then build concurrently, and the resulting tree is
     /// bit-identical to the serial build for any worker count.
+    ///
+    /// # Panics
+    ///
+    /// Panics with `finite coordinates` if any coordinate is NaN (`±∞`
+    /// order normally, and `-0.0` ties `0.0`), and if the cloud has more
+    /// than 2³² points.
     #[must_use]
     pub fn build_with(cloud: &PointCloud, pool: Option<&WorkerPool>) -> Self {
         let points: Vec<Point> = cloud.points().to_vec();
@@ -79,7 +96,8 @@ impl KdTree {
                 points,
             };
         }
-        let mut indices: Vec<usize> = (0..n).collect();
+        let mut keys = vec![0u128; n];
+        let ranks = axis_ranks(&points, &mut keys);
         let mut nodes = vec![
             Node {
                 point: 0,
@@ -89,17 +107,17 @@ impl KdTree {
             };
             n
         ];
-        /// One pending subtree: disjoint arena and index ranges plus the
+        /// One pending subtree: disjoint arena and key ranges plus the
         /// depth and absolute arena offset of its root.
         struct Job<'a> {
             nodes: &'a mut [Node],
-            indices: &'a mut [usize],
+            keys: &'a mut [u128],
             depth: usize,
             base: usize,
         }
         let mut jobs: Vec<Job> = vec![Job {
             nodes: &mut nodes,
-            indices: &mut indices,
+            keys: &mut keys,
             depth: 0,
             base: 0,
         }];
@@ -110,50 +128,28 @@ impl KdTree {
             let Some(pos) = jobs
                 .iter()
                 .enumerate()
-                .filter(|(_, j)| j.indices.len() > SUBTREE_SPLIT_MIN)
-                .max_by_key(|(_, j)| j.indices.len())
+                .filter(|(_, j)| j.keys.len() > SUBTREE_SPLIT_MIN)
+                .max_by_key(|(_, j)| j.keys.len())
                 .map(|(i, _)| i)
             else {
                 break;
             };
             let job = jobs.swap_remove(pos);
-            let axis = job.depth % 3;
-            job.indices.sort_by(|&a, &b| {
-                points[a][axis]
-                    .partial_cmp(&points[b][axis])
-                    .expect("finite coordinates")
-            });
-            let mid = job.indices.len() / 2;
-            let (root_node, child_nodes) = job.nodes.split_first_mut().expect("non-empty job");
-            let (left_nodes, right_nodes) = child_nodes.split_at_mut(mid);
-            let (left_indices, rest) = job.indices.split_at_mut(mid);
-            let (mid_index, right_indices) = rest.split_first_mut().expect("mid in range");
-            *root_node = Node {
-                point: *mid_index,
-                axis,
-                left: if left_indices.is_empty() {
-                    NONE
-                } else {
-                    job.base + 1
-                },
-                right: if right_indices.is_empty() {
-                    NONE
-                } else {
-                    job.base + 1 + mid
-                },
-            };
-            if !left_indices.is_empty() {
+            let (left_keys, right_keys, left_nodes, right_nodes) =
+                split_node(&ranks, job.keys, job.depth, job.base, job.nodes);
+            let mid = left_keys.len();
+            if !left_keys.is_empty() {
                 jobs.push(Job {
                     nodes: left_nodes,
-                    indices: left_indices,
+                    keys: left_keys,
                     depth: job.depth + 1,
                     base: job.base + 1,
                 });
             }
-            if !right_indices.is_empty() {
+            if !right_keys.is_empty() {
                 jobs.push(Job {
                     nodes: right_nodes,
-                    indices: right_indices,
+                    keys: right_keys,
                     depth: job.depth + 1,
                     base: job.base + 1 + mid,
                 });
@@ -163,7 +159,7 @@ impl KdTree {
         // affect the result; chunk size 1 lets the pool balance the
         // unequal subtree sizes.
         let build_job = |job: &mut Job| {
-            Self::build_into(&points, job.indices, job.depth, job.base, job.nodes);
+            build_into(&ranks, job.keys, job.depth, job.base, job.nodes);
         };
         match pool {
             Some(pool) => pool.parallel_for(&mut jobs, 1, |_, chunk| {
@@ -185,52 +181,11 @@ impl KdTree {
         }
     }
 
-    /// Serial pre-order subtree build into a pre-sized arena range.
-    /// `nodes.len() == indices.len()`; `base` is the absolute arena index
-    /// of `nodes[0]`.
-    fn build_into(
-        points: &[Point],
-        indices: &mut [usize],
-        depth: usize,
-        base: usize,
-        nodes: &mut [Node],
-    ) {
-        if indices.is_empty() {
-            return;
-        }
-        let axis = depth % 3;
-        indices.sort_by(|&a, &b| {
-            points[a][axis]
-                .partial_cmp(&points[b][axis])
-                .expect("finite coordinates")
-        });
-        let mid = indices.len() / 2;
-        let (root_node, child_nodes) = nodes.split_first_mut().expect("non-empty subtree");
-        let (left_nodes, right_nodes) = child_nodes.split_at_mut(mid);
-        let (left_indices, rest) = indices.split_at_mut(mid);
-        let (mid_index, right_indices) = rest.split_first_mut().expect("mid in range");
-        *root_node = Node {
-            point: *mid_index,
-            axis,
-            left: if left_indices.is_empty() {
-                NONE
-            } else {
-                base + 1
-            },
-            right: if right_indices.is_empty() {
-                NONE
-            } else {
-                base + 1 + mid
-            },
-        };
-        Self::build_into(points, left_indices, depth + 1, base + 1, left_nodes);
-        Self::build_into(
-            points,
-            right_indices,
-            depth + 1,
-            base + 1 + mid,
-            right_nodes,
-        );
+    /// The cloud index stored at each arena slot, in arena (pre-order)
+    /// order: the order in which a tree walk that visits a node before
+    /// its subtrees, left before right, reports points.
+    pub(crate) fn arena_points(&self) -> impl ExactSizeIterator<Item = usize> + '_ {
+        self.nodes.iter().map(|node| node.point)
     }
 
     /// Number of points indexed.
@@ -320,17 +275,6 @@ impl KdTree {
         self.radius_search_traced(query, radius, &mut |_| {})
     }
 
-    /// [`Self::radius_search`] writing into a caller-supplied buffer — the
-    /// zero-allocation form used by the clustering hot loop, which issues
-    /// one query per cloud point. `out` is cleared first; indices land in
-    /// the same traversal order as [`Self::radius_search`].
-    pub fn radius_search_into(&self, query: &Point, radius: f64, out: &mut Vec<usize>) {
-        out.clear();
-        if self.root != NONE {
-            self.radius_rec(self.root, query, radius * radius, radius, out, &mut |_| {});
-        }
-    }
-
     /// Radius search with a trace callback.
     pub fn radius_search_traced(
         &self,
@@ -415,6 +359,128 @@ impl KdTree {
     }
 }
 
+/// Dense per-axis ranks of every point (`ranks[i][axis]`): equal
+/// coordinates share a rank, as `partial_cmp` ties them. `keys` (one
+/// slot per point) is the sort scratch; it is left holding each point's
+/// index in its low 32 bits, which is all [`refresh_keys`] reads.
+fn axis_ranks(points: &[Point], keys: &mut [u128]) -> Vec<[u32; 3]> {
+    let mut ranks = vec![[0u32; 3]; points.len()];
+    for axis in 0..3 {
+        for (i, (key, p)) in keys.iter_mut().zip(points).enumerate() {
+            let index = u32::try_from(i).expect("at most 2^32 points");
+            *key = u128::from(order_bits(p[axis])) << 64 | u128::from(index);
+        }
+        keys.sort_unstable();
+        let mut rank = 0u32;
+        let mut prev = keys[0] >> 64;
+        for &key in keys.iter() {
+            if key >> 64 != prev {
+                rank += 1;
+                prev = key >> 64;
+            }
+            ranks[key as u32 as usize][axis] = rank;
+        }
+    }
+    ranks
+}
+
+/// `v`'s bits, remapped so unsigned order is `partial_cmp`'s order:
+/// `-0.0` maps to `0.0`'s key, and `±∞` sort at the ends.
+fn order_bits(v: f64) -> u64 {
+    assert!(!v.is_nan(), "finite coordinates");
+    let bits = (v + 0.0).to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// Rewrites each key in the depth-`depth` subtree order that
+/// [`KdTree::build_with`] derives: the ranks on `a_d`, `a_{d-1}` and
+/// `a_{d-2}`, then the point index kept in the low 32 bits. At depths 0
+/// and 1 the axes that do not yet order the subtree are masked out.
+fn refresh_keys(keys: &mut [u128], ranks: &[[u32; 3]], depth: usize) {
+    let [a0, a1, a2] = [depth % 3, (depth + 2) % 3, (depth + 1) % 3];
+    let m1 = if depth >= 1 { u32::MAX } else { 0 };
+    let m2 = if depth >= 2 { u32::MAX } else { 0 };
+    for key in keys {
+        let index = *key as u32;
+        let r = ranks[index as usize];
+        *key = u128::from(r[a0]) << 96
+            | u128::from(r[a1] & m1) << 64
+            | u128::from(r[a2] & m2) << 32
+            | u128::from(index);
+    }
+}
+
+/// Left keys, right keys, left nodes, right nodes of one split.
+type Halves<'a> = (
+    &'a mut [u128],
+    &'a mut [u128],
+    &'a mut [Node],
+    &'a mut [Node],
+);
+
+/// Writes a subtree's root at `nodes[0]` (absolute arena index `base`)
+/// and returns the key and arena ranges of its two children.
+/// `nodes.len() == keys.len() > 0`.
+fn split_node<'a>(
+    ranks: &[[u32; 3]],
+    keys: &'a mut [u128],
+    depth: usize,
+    base: usize,
+    nodes: &'a mut [Node],
+) -> Halves<'a> {
+    refresh_keys(keys, ranks, depth);
+    let mid = keys.len() / 2;
+    let (left_keys, median, right_keys) = keys.select_nth_unstable(mid);
+    let (root_node, child_nodes) = nodes.split_first_mut().expect("non-empty subtree");
+    let (left_nodes, right_nodes) = child_nodes.split_at_mut(mid);
+    *root_node = Node {
+        point: *median as u32 as usize,
+        axis: depth % 3,
+        left: if left_keys.is_empty() { NONE } else { base + 1 },
+        right: if right_keys.is_empty() {
+            NONE
+        } else {
+            base + 1 + mid
+        },
+    };
+    (left_keys, right_keys, left_nodes, right_nodes)
+}
+
+/// Serial pre-order subtree build into a pre-sized arena range.
+/// `nodes.len() == keys.len()`; `base` is the absolute arena index of
+/// `nodes[0]`.
+fn build_into(
+    ranks: &[[u32; 3]],
+    keys: &mut [u128],
+    depth: usize,
+    base: usize,
+    nodes: &mut [Node],
+) {
+    match keys {
+        [] => return,
+        // A leaf needs no order: half the nodes skip the select.
+        [key] => {
+            nodes[0] = Node {
+                point: *key as u32 as usize,
+                axis: depth % 3,
+                left: NONE,
+                right: NONE,
+            };
+            return;
+        }
+        _ => {}
+    }
+    let (left_keys, right_keys, left_nodes, right_nodes) =
+        split_node(ranks, keys, depth, base, nodes);
+    let mid = left_keys.len();
+    build_into(ranks, left_keys, depth + 1, base + 1, left_nodes);
+    build_into(ranks, right_keys, depth + 1, base + 1 + mid, right_nodes);
+}
+
 /// Bounded max-heap of the best `k` `(distance², index)` candidates seen
 /// so far, ordered lexicographically so equal distances compare by index.
 /// The root holds the worst kept candidate; a better offer replaces it in
@@ -497,6 +563,97 @@ impl KnnHeap {
         });
         items.into_iter().map(|(d, i)| (i, d.sqrt())).collect()
     }
+}
+
+/// The stable-sort build [`KdTree::build_with`] replaced, kept as its
+/// oracle: every subtree's indices stable-sorted on the node's axis by
+/// `partial_cmp`, the median at `len / 2`.
+#[cfg(test)]
+pub(crate) fn build_stable_sort(cloud: &PointCloud) -> KdTree {
+    fn build(
+        points: &[Point],
+        indices: &mut [usize],
+        depth: usize,
+        base: usize,
+        nodes: &mut [Node],
+    ) {
+        if indices.is_empty() {
+            return;
+        }
+        let axis = depth % 3;
+        indices.sort_by(|&a, &b| {
+            points[a][axis]
+                .partial_cmp(&points[b][axis])
+                .expect("finite coordinates")
+        });
+        let mid = indices.len() / 2;
+        let (root, children) = nodes.split_first_mut().expect("non-empty subtree");
+        let (left_nodes, right_nodes) = children.split_at_mut(mid);
+        let (left, rest) = indices.split_at_mut(mid);
+        let (median, right) = rest.split_first_mut().expect("mid in range");
+        *root = Node {
+            point: *median,
+            axis,
+            left: if left.is_empty() { NONE } else { base + 1 },
+            right: if right.is_empty() {
+                NONE
+            } else {
+                base + 1 + mid
+            },
+        };
+        build(points, left, depth + 1, base + 1, left_nodes);
+        build(points, right, depth + 1, base + 1 + mid, right_nodes);
+    }
+    let points = cloud.points().to_vec();
+    let n = points.len();
+    let mut nodes = vec![
+        Node {
+            point: 0,
+            axis: 0,
+            left: NONE,
+            right: NONE,
+        };
+        n
+    ];
+    build(&points, &mut (0..n).collect::<Vec<_>>(), 0, 0, &mut nodes);
+    KdTree {
+        nodes,
+        root: if n == 0 { NONE } else { 0 },
+        points,
+    }
+}
+
+/// `n` tie-heavy points for the bitwise oracles: coordinates uniform in
+/// ±20 m, rounded to multiples of `step` (left continuous when `step` is
+/// 0), with `-0.0` beside `0.0`; about one point in ten repeats an
+/// earlier one and, with `infinities`, one in twenty has a `±∞`
+/// coordinate.
+#[cfg(test)]
+pub(crate) fn tie_heavy_cloud(n: usize, seed: u64, step: f64, infinities: bool) -> PointCloud {
+    let mut rng = sov_math::SovRng::seed_from_u64(seed);
+    let mut points: Vec<Point> = Vec::with_capacity(n);
+    for _ in 0..n {
+        let mut p = [0.0; 3].map(|_| {
+            let v = rng.uniform(-20.0, 20.0);
+            let v = if step > 0.0 {
+                (v / step).round() * step
+            } else {
+                v
+            };
+            if v == 0.0 && rng.index(2) == 0 {
+                -0.0
+            } else {
+                v
+            }
+        });
+        match rng.index(20) {
+            0 | 1 if !points.is_empty() => p = points[rng.index(points.len())],
+            2 if infinities => p[rng.index(3)] = [f64::INFINITY, f64::NEG_INFINITY][rng.index(2)],
+            _ => {}
+        }
+        points.push(p);
+    }
+    PointCloud::from_points(points)
 }
 
 #[cfg(test)]
@@ -709,5 +866,61 @@ mod tests {
             KdTree::build(&small)
         );
         assert!(KdTree::build_with(&PointCloud::new(), Some(&pool)).is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn bitwise_oracle_selection_build_equals_stable_sort(
+            n in 1usize..4_000,
+            seed in 0u64..5_000,
+            step_pick in 0usize..4,
+            lanes in 1usize..9,
+        ) {
+            let step = [0.0, 0.25, 1.0, 5.0][step_pick];
+            let cloud = tie_heavy_cloud(n, seed, step, seed % 2 == 0);
+            let oracle = build_stable_sort(&cloud);
+            prop_assert_eq!(&KdTree::build(&cloud), &oracle, "serial, n {}, step {}", n, step);
+            let pool = WorkerPool::new(lanes);
+            prop_assert_eq!(
+                &KdTree::build_with(&cloud, Some(&pool)),
+                &oracle,
+                "{} lanes, n {}, step {}", lanes, n, step
+            );
+        }
+    }
+
+    #[test]
+    fn bitwise_oracle_selection_build_handles_small_and_signed_zero_clouds() {
+        for points in [
+            vec![[0.0, 0.0, 0.0]],
+            vec![[-0.0, 1.0, 0.0], [0.0, 1.0, -0.0]],
+            vec![
+                [f64::INFINITY, 0.0, 0.0],
+                [f64::NEG_INFINITY, 0.0, 0.0],
+                [0.0; 3],
+            ],
+            vec![[1.0, 2.0, 3.0]; 7],
+        ] {
+            let cloud = PointCloud::from_points(points);
+            assert_eq!(
+                KdTree::build(&cloud),
+                build_stable_sort(&cloud),
+                "{cloud:?}"
+            );
+        }
+        assert_eq!(
+            KdTree::build(&PointCloud::new()),
+            build_stable_sort(&PointCloud::new())
+        );
+    }
+
+    /// A NaN anywhere panics, also where the stable sort never compared
+    /// it: a root chosen on `x` is never sorted on `y`.
+    #[test]
+    #[should_panic(expected = "finite coordinates")]
+    fn bitwise_oracle_build_rejects_a_nan_coordinate() {
+        let _ = KdTree::build(&PointCloud::from_points(vec![[1.0, f64::NAN, 0.0]]));
     }
 }

@@ -179,13 +179,27 @@ proptest! {
         n in 100usize..800,
         seed in 0u64..5_000,
         lanes in 1usize..9,
+        step_pick in 0usize..3,
+        r_steps in 1usize..4,
     ) {
-        use sov_lidar::segmentation::{euclidean_clusters, euclidean_clusters_with, SegmentationConfig};
-        let cloud = random_cloud(n, seed);
+        use sov_lidar::segmentation::{euclidean_clusters_traced, euclidean_clusters_with, SegmentationConfig};
+        // Coordinates on a power-of-two step and a tolerance that is a
+        // multiple of it, so pairs sit exactly at the tolerance.
+        let step = [0.125, 0.25, 0.5][step_pick];
+        let quantized: Vec<[f64; 3]> = random_cloud(n, seed)
+            .points()
+            .iter()
+            .map(|p| p.map(|c| (c / step).round() * step))
+            .collect();
+        let cloud = PointCloud::from_points(quantized);
         let tree = KdTree::build(&cloud);
-        let cfg = SegmentationConfig { min_cluster_size: 2, ..SegmentationConfig::default() };
-        let serial = euclidean_clusters(&cloud, &tree, &cfg);
+        let cfg = SegmentationConfig {
+            cluster_tolerance_m: step * r_steps as f64,
+            min_cluster_size: 2,
+            ..SegmentationConfig::default()
+        };
+        let walked = euclidean_clusters_traced(&cloud, &tree, &cfg, &mut |_| {});
         let workers = sov_runtime::pool::WorkerPool::new(lanes);
-        prop_assert_eq!(euclidean_clusters_with(&cloud, &tree, &cfg, Some(&workers)), serial);
+        prop_assert_eq!(euclidean_clusters_with(&cloud, &tree, &cfg, Some(&workers)), walked);
     }
 }

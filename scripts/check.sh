@@ -40,6 +40,11 @@ echo "== correlate; tracker vs a naive patch-NCC argmax; FAST masks vs the  =="
 echo "== per-pixel fast_score; SAD lane blocks vs the get() loop)           =="
 cargo test --offline -q -p sov-perception --lib bitwise_oracle
 
+echo "== LiDAR bitwise oracles (selection-built kd-tree vs the stable-sort =="
+echo "== build, serial and pooled; grid neighbour lists vs radius_search, =="
+echo "== in order; a NaN coordinate panics)                               =="
+cargo test --offline -q -p sov-lidar bitwise_oracle
+
 echo "== speed-QP bitwise oracle proptest (SpeedQp vs the dense   =="
 echo "== QpProblem: x and objective bits, iterations, convergence =="
 echo "== and errors, zero rows and NaN bounds included)           =="
