@@ -96,6 +96,7 @@ fn run_json(r: &Run, nominal_distance: f64) -> String {
 }
 
 fn main() {
+    sov_bench::check_args(&["--json PATH"]);
     sov_bench::banner(
         "Fault matrix",
         "Sensor/compute faults × scenarios, vs nominal",

@@ -5,23 +5,21 @@
 //! critical path of the end-to-end latency. We pipeline the three modules
 //! to improve the throughput, which is dictated by the slowest stage."
 //!
-//! The stages run on [`FramePipeline`] over a 3-lane [`WorkerPool`]:
-//! sensing and perception are stage nodes on a lane each, planning runs
-//! on the calling thread. Depth 1 is the serialized baseline; depth
-//! `d > 1` lets perception hold up to `d` frames.
+//! The stages run on [`FramePipeline`]: sensing and perception on a
+//! thread each, planning on the calling thread. Depth 1 is the
+//! serialized baseline; depth `d > 1` lets up to `d` frames wait past
+//! sensing.
 
 use sov_runtime::pipeline::{FramePipeline, PipelineRun};
-use sov_runtime::pool::WorkerPool;
 use std::time::Duration;
 
 /// Scaled-down stage times preserving the paper's proportions
 /// (sensing ≈ perception ≫ planning).
 const STAGE_MS: [u64; 3] = [8, 8, 1];
 
-fn run(pool: &WorkerPool, depth: usize, frames: u64) -> PipelineRun {
+fn run(depth: usize, frames: u64) -> PipelineRun {
     let work = |stage: usize| std::thread::sleep(Duration::from_millis(STAGE_MS[stage]));
     FramePipeline::new(depth).run(
-        Some(pool),
         frames,
         |k| {
             work(0);
@@ -47,13 +45,12 @@ fn main() {
     let frames = 60;
     println!("running {frames} frames through sensing(8 ms) → perception(8 ms) → planning(1 ms)\n");
 
-    sov_bench::section("depth sweep (FramePipeline, 3 lanes; depth 1 = serialized)");
-    println!("  a deeper perception stage absorbs jitter; with balanced stages it");
+    sov_bench::section("depth sweep (FramePipeline, a thread per stage; depth 1 = serialized)");
+    println!("  a deeper pipeline absorbs jitter; with balanced stages it");
     println!("  stays nearly empty, so per-frame latency holds at the stage sum\n");
-    let pool = WorkerPool::new(3);
     let runs: Vec<(usize, PipelineRun)> = [1usize, 2, 4, 8, 16]
         .into_iter()
-        .map(|depth| (depth, run(&pool, depth, frames)))
+        .map(|depth| (depth, run(depth, frames)))
         .collect();
     for (depth, r) in &runs {
         println!(

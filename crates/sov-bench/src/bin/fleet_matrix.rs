@@ -193,6 +193,7 @@ fn gate_cell(row: &FleetRow) -> Option<&Cell> {
 }
 
 fn main() {
+    sov_bench::check_args(&["--json PATH", "--smoke", "--dispatch linear|indexed|both"]);
     sov_bench::banner(
         "Fleet matrix",
         "Sharded ride serving: fleet × dispatch mode × workers, byte-identical reports",

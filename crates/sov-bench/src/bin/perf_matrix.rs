@@ -563,6 +563,7 @@ fn pctl(samples: &[f64], p: f64) -> f64 {
 }
 
 fn main() {
+    sov_bench::check_args(&["--json PATH", "--smoke", "--frames N"]);
     sov_bench::banner(
         "Perf matrix",
         "Intra-frame parallelism: workers × layout × allocation",

@@ -17,26 +17,27 @@
 //! alone. Every cell additionally reports per-stage **occupancy** (compute
 //! ÷ wall for sensing, perception, and planning, summed over the replay's
 //! stage samples) so an idle stage is visible instead of averaged away —
-//! and, via the latency ledger, the **attribution split** of each frame's
-//! three stage samples into compute, ring-queue wait, and sequencer stall,
-//! each at p50/p99/p99.9/max.
+//! and the **attribution split** of each frame's three stage samples into
+//! compute, channel-queue wait, and stall (the taking stage's blocked
+//! wait), each at p50/p99/p99.9/max.
 //!
 //! Flags: `--json PATH` writes the matrix (the committed baseline is
-//! `BENCH_pipeline.json`); `--smoke` shrinks the run for CI; `--frames N`
-//! overrides the replay frame count; `--seed N` reseeds the workload.
+//! `BENCH_pipeline.json`); `--seed N` reseeds the workload.
 
 use sov_bench::{mix, quad, quad_json};
 use sov_core::config::VehicleConfig;
 use sov_core::pipeline::{FrameLatency, LatencyPipeline};
 use sov_math::stats::Summary;
 use sov_runtime::pipeline::{FramePipeline, PipelineRun};
-use sov_runtime::pool::WorkerPool;
 use std::time::Duration;
 
 /// Modeled stage durations are divided by this before sleeping, keeping a
-/// full matrix under ~10 s of wall clock without changing the ratios that
+/// full matrix near 3 s of wall clock without changing the ratios that
 /// determine speedup.
 const TIME_SCALE: f64 = 20.0;
+
+/// Frames replayed per cell.
+const FRAMES: u64 = 120;
 
 /// Deterministic scene-complexity schedule for the replayed frames (a
 /// slow ramp with a busy burst, independent of any scenario geometry).
@@ -74,16 +75,13 @@ fn sleep_ms(ms: f64) {
 }
 
 /// One replay cell: the modeled frames pushed through [`FramePipeline`]
-/// at a given depth and lane count. Returns the run telemetry and the
-/// committed checksum (folded across frames in commit order, so any
-/// reordering or dropped frame changes it).
-fn run_replay_cell(stages: &[[f64; 3]], depth: usize, workers: usize) -> (PipelineRun, u64) {
-    let pool = (workers > 0).then(|| WorkerPool::new(workers));
-    let pipeline = FramePipeline::new(depth);
+/// at a given depth. Returns the run telemetry and the committed checksum
+/// (folded across frames in commit order, so any reordering or dropped
+/// frame changes it).
+fn run_replay_cell(stages: &[[f64; 3]], depth: usize) -> (PipelineRun, u64) {
     let mut checksum = 0u64;
     let mut prev: Option<u64> = None;
-    let run = pipeline.run(
-        pool.as_ref(),
+    let run = FramePipeline::new(depth).run(
         stages.len() as u64,
         |k| {
             sleep_ms(stages[k as usize][0]);
@@ -127,39 +125,32 @@ fn replay_split(run: &PipelineRun) -> [[f64; 4]; 3] {
 }
 
 fn main() {
+    sov_bench::check_args(&["--json PATH"]);
     sov_bench::banner(
         "Pipeline matrix",
-        "Inter-frame pipelining: depth × workers, throughput vs latency",
+        "Inter-frame pipelining: depth, throughput vs latency",
     );
     let args: Vec<String> = std::env::args().collect();
     let seed = sov_bench::seed_from_args();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let frames: u64 = args
-        .iter()
-        .position(|a| a == "--frames")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(if smoke { 30 } else { 120 });
     let json_path = args
         .iter()
         .position(|a| a == "--json")
         .and_then(|i| args.get(i + 1).cloned());
     let host_cores = std::thread::available_parallelism().map_or(0, std::num::NonZero::get);
 
-    let (stages, model_frames) = replay_stages(seed, frames);
+    let (stages, model_frames) = replay_stages(seed, FRAMES);
     println!(
-        "replaying {frames} modeled frames at 1/{TIME_SCALE:.0} time scale on {host_cores} core(s)",
+        "replaying {FRAMES} modeled frames at 1/{TIME_SCALE:.0} time scale on {host_cores} core(s)",
     );
 
     // --- replay cells -----------------------------------------------------
     sov_bench::section("replay cells: measured throughput, latency, occupancy");
     println!(
-        "{:<14} | {:>9} | {:>8} | {:>8} | {:>8} | {:>17} | {:>20}",
+        "{:<5} | {:>9} | {:>8} | {:>8} | {:>8} | {:>17} | {:>20}",
         "cell", "fps", "p50 ms", "p99 ms", "speedup", "occ sen/per/plan", "p99.9 cmp/que/stl ms"
     );
     struct ReplayRow {
         depth: usize,
-        workers: usize,
         fps: f64,
         p50_ms: f64,
         p99_ms: f64,
@@ -174,49 +165,45 @@ fn main() {
     let mut baseline_fps = 0.0f64;
     let mut baseline_checksum = 0u64;
     for depth in [1usize, 2, 3, 4] {
-        for workers in [0usize, 3, 8] {
-            let (run, checksum) = run_replay_cell(&stages, depth, workers);
-            let fps = run.throughput_fps();
-            if depth == 1 && workers == 0 {
-                baseline_fps = fps;
-                baseline_checksum = checksum;
-            }
-            if checksum != baseline_checksum {
-                determinism_ok = false;
-            }
-            let row = ReplayRow {
-                depth,
-                workers,
-                fps,
-                p50_ms: ms(run.latency_percentile(0.5)),
-                p99_ms: ms(run.latency_percentile(0.99)),
-                speedup: fps / baseline_fps,
-                occupancy: [run.occupancy(0), run.occupancy(1), run.occupancy(2)],
-                split: replay_split(&run),
-                checksum,
-            };
-            println!(
-                "d{} w{:<10} | {:>9.1} | {:>8.3} | {:>8.3} | {:>7.2}× | {:>4.2}/{:>4.2}/{:>4.2} | {:>6.2}/{:>5.2}/{:>5.2}{}",
-                row.depth,
-                row.workers,
-                row.fps,
-                row.p50_ms,
-                row.p99_ms,
-                row.speedup,
-                row.occupancy[0],
-                row.occupancy[1],
-                row.occupancy[2],
-                row.split[0][2],
-                row.split[1][2],
-                row.split[2][2],
-                if checksum == baseline_checksum {
-                    ""
-                } else {
-                    "  CHECKSUM MISMATCH"
-                },
-            );
-            replay_rows.push(row);
+        let (run, checksum) = run_replay_cell(&stages, depth);
+        let fps = run.throughput_fps();
+        if depth == 1 {
+            baseline_fps = fps;
+            baseline_checksum = checksum;
         }
+        if checksum != baseline_checksum {
+            determinism_ok = false;
+        }
+        let row = ReplayRow {
+            depth,
+            fps,
+            p50_ms: ms(run.latency_percentile(0.5)),
+            p99_ms: ms(run.latency_percentile(0.99)),
+            speedup: fps / baseline_fps,
+            occupancy: [run.occupancy(0), run.occupancy(1), run.occupancy(2)],
+            split: replay_split(&run),
+            checksum,
+        };
+        println!(
+            "d{:<4} | {:>9.1} | {:>8.3} | {:>8.3} | {:>7.2}× | {:>4.2}/{:>4.2}/{:>4.2} | {:>6.2}/{:>5.2}/{:>5.2}{}",
+            row.depth,
+            row.fps,
+            row.p50_ms,
+            row.p99_ms,
+            row.speedup,
+            row.occupancy[0],
+            row.occupancy[1],
+            row.occupancy[2],
+            row.split[0][2],
+            row.split[1][2],
+            row.split[2][2],
+            if checksum == baseline_checksum {
+                ""
+            } else {
+                "  CHECKSUM MISMATCH"
+            },
+        );
+        replay_rows.push(row);
     }
 
     // --- analytic model ---------------------------------------------------
@@ -252,7 +239,7 @@ fn main() {
     // --- acceptance -------------------------------------------------------
     let depth3 = replay_rows
         .iter()
-        .find(|r| r.depth == 3 && r.workers == 3)
+        .find(|r| r.depth == 3)
         .expect("cell swept above");
     sov_bench::section("acceptance");
     println!(
@@ -260,7 +247,7 @@ fn main() {
         if determinism_ok { "PASS" } else { "FAIL" },
     );
     println!(
-        "replay throughput, depth 3 / 3 lanes vs serial: {} (target ≥1.5×): {}",
+        "replay throughput, depth 3 vs serial: {} (target ≥1.5×): {}",
         sov_bench::times(depth3.speedup),
         if depth3.speedup >= 1.5 {
             "PASS"
@@ -272,16 +259,16 @@ fn main() {
     if let Some(path) = json_path {
         let mut out = String::from("{\n");
         out.push_str(&format!(
-            "  \"seed\": {seed},\n  \"replay_frames\": {frames},\n  \"time_scale\": {TIME_SCALE},\n  \"host_cores\": {host_cores},\n"
+            "  \"seed\": {seed},\n  \"replay_frames\": {FRAMES},\n  \"time_scale\": {TIME_SCALE},\n  \"host_cores\": {host_cores},\n"
         ));
         out.push_str(concat!(
             "  \"caveats\": [\n",
-            "    \"replay cells sleep the modeled stage durations, so overlap is visible even when host_cores < lanes\",\n",
+            "    \"replay cells sleep the modeled stage durations, so overlap is visible even when host_cores < 3 stage threads\",\n",
             "    \"pipelining raises per-frame latency while raising throughput — compare p99, not only p50\"\n",
             "  ],\n"
         ));
         out.push_str(&format!(
-            "  \"replay_speedup_depth3_3lanes\": {:.4},\n",
+            "  \"replay_speedup_depth3\": {:.4},\n",
             depth3.speedup
         ));
         out.push_str("  \"replay_cells\": [\n");
@@ -290,7 +277,7 @@ fn main() {
             .map(|r| {
                 format!(
                     concat!(
-                        "    {{\"depth\": {}, \"workers\": {}, \"throughput_fps\": {:.2}, ",
+                        "    {{\"depth\": {}, \"throughput_fps\": {:.2}, ",
                         "\"latency_p50_ms\": {:.3}, \"latency_p99_ms\": {:.3}, ",
                         "\"speedup_vs_serial\": {:.4}, ",
                         "\"occupancy\": [{:.4}, {:.4}, {:.4}], ",
@@ -298,7 +285,6 @@ fn main() {
                         "\"checksum\": \"{:016x}\"}}"
                     ),
                     r.depth,
-                    r.workers,
                     r.fps,
                     r.p50_ms,
                     r.p99_ms,

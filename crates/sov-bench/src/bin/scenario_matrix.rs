@@ -388,6 +388,12 @@ fn repro(scenario_seed: u64, fault_seed: u64, frame: u64) -> bool {
 }
 
 fn main() {
+    sov_bench::check_args(&[
+        "--json PATH",
+        "--smoke",
+        "--workers N",
+        "--repro SCENARIO_SEED FAULT_SEED FRAME",
+    ]);
     sov_bench::banner(
         "Scenario matrix",
         "Generated scenarios × fault matrix, safety invariants per frame",

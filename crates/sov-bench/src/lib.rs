@@ -121,6 +121,40 @@ pub fn seed_from_args() -> u64 {
         .unwrap_or(42)
 }
 
+/// The first argument in `args` that `flags` does not accept. A flag is
+/// written as in a usage line, `"--json PATH"`: the flag, then one word
+/// per value it takes; a flag short of its values counts as unknown.
+#[must_use]
+pub fn first_unknown_arg<'a>(args: &'a [String], flags: &[&str]) -> Option<&'a str> {
+    let mut i = 0;
+    while let Some(arg) = args.get(i) {
+        let values = flags.iter().find_map(|flag| {
+            let mut words = flag.split_whitespace();
+            (words.next() == Some(arg.as_str())).then(|| words.count())
+        });
+        match values {
+            Some(n) if i + n < args.len() => i += 1 + n,
+            _ => return Some(arg),
+        }
+    }
+    None
+}
+
+/// Exits with status 2, listing the accepted flags on stderr, unless each
+/// command-line argument is one of `flags` (see [`first_unknown_arg`]) or
+/// `--seed N`.
+pub fn check_args(flags: &[&str]) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let flags: Vec<&str> = flags.iter().copied().chain(["--seed N"]).collect();
+    if let Some(arg) = first_unknown_arg(&args, &flags) {
+        eprintln!(
+            "`{arg}` is not an accepted flag or lacks its values; accepted: {}",
+            flags.join(", ")
+        );
+        std::process::exit(2);
+    }
+}
+
 /// Formats a ratio as `N.N×`.
 #[must_use]
 pub fn times(ratio: f64) -> String {
@@ -234,6 +268,23 @@ mod tests {
     #[test]
     fn default_seed() {
         assert_eq!(super::seed_from_args(), 42);
+    }
+
+    #[test]
+    fn first_unknown_arg_checks_flags_and_their_values() {
+        let flags = ["--json PATH", "--smoke", "--repro S F FRAME", "--seed N"];
+        let check = |line: &str| {
+            let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+            super::first_unknown_arg(&args, &flags).map(String::from)
+        };
+        assert_eq!(check(""), None);
+        assert_eq!(check("--smoke --json out.json --seed 7"), None);
+        assert_eq!(check("--repro 1 2 3 --smoke"), None);
+        assert_eq!(check("--help").as_deref(), Some("--help"));
+        assert_eq!(check("--smoke --frames 9").as_deref(), Some("--frames"));
+        assert_eq!(check("--json").as_deref(), Some("--json"), "missing value");
+        assert_eq!(check("--repro 1 2").as_deref(), Some("--repro"));
+        assert_eq!(check("--smoke stray").as_deref(), Some("stray"));
     }
 
     #[test]

@@ -56,7 +56,7 @@ use std::path::{Path, PathBuf};
 const WALL_CLOCK_ALLOW: &[(&str, &str)] = &[
     (
         "crates/sov-runtime/src/pipeline.rs",
-        "stage-node stamps feeding the ledger, and the Fig. 5 replay's wall time and frame latencies",
+        "`run_inline`'s drive-stage samples, and the Fig. 5 replay's stage stamps, wall time and frame latencies",
     ),
     (
         "crates/sov-testkit/src/bench.rs",

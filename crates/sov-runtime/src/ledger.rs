@@ -2,31 +2,31 @@
 //!
 //! The paper's Eq. 1 bounds *end-to-end* frame latency, but a bound is
 //! only actionable if every nanosecond of a slow frame can be blamed on
-//! something: stage compute, ring-queue wait, or a stall of the sequencer
-//! waiting on a lane. The COLA argument (PAPERS.md) is that L4 safety
+//! something: stage compute, queue wait, or a stall of the next stage
+//! waiting on this one. The COLA argument (PAPERS.md) is that L4 safety
 //! hangs on the p99.9/max tail of exactly this decomposition — the median
 //! tells you nothing about the one frame in a thousand that arrives late.
 //!
 //! [`LatencyLedger`] is the recording half: an allocation-free (arena
 //! backed) log of per-stage and per-frame samples, written exclusively by
-//! the thread that runs a drive or a replay's sequencer. Every stage
-//! sample carries an exact telescoping decomposition of its measured
-//! span:
+//! the thread that runs a drive. Every stage sample carries an exact
+//! telescoping decomposition of its measured span:
 //!
 //! ```text
-//! span = (t1 − t0)   queue-in:  dispatch → lane picks the job up
+//! span = (t1 − t0)   queue-in:  input handed over → compute starts
 //!      + (t2 − t1)   compute:   the stage's own work
-//!      + (t3 − t2)   done-wait: result ready → sequencer absorbs it
+//!      + (t3 − t2)   done-wait: result ready → the next stage takes it
 //! ```
 //!
 //! with the done-wait further split into **stall** (the portion the
-//! sequencer spent *blocked* waiting for this result — measured against a
-//! pre-`recv` stamp at every blocking site) and queue-out (the result sat
-//! in the done ring while the sequencer did other work). All four stamps
-//! come from one monotonic clock, so the components sum to the directly
-//! measured span exactly; [`StageSample::residual_ns`] is the audit of
-//! that identity. Only the Fig. 5 replay's lane nodes wait on rings; a
-//! drive runs every stage inline, so its samples are pure compute.
+//! taking stage spent *blocked* waiting for this result — measured
+//! against a pre-`recv` stamp) and queue-out (the result sat in its
+//! channel while the taker did other work). All four stamps come from one
+//! monotonic clock, so the components sum to the directly measured span
+//! exactly; [`StageSample::residual_ns`] is the audit of that identity. A
+//! drive runs every stage inline, so its samples are pure compute; only
+//! the Fig. 5 replay (`FramePipeline::run`, which collects its samples
+//! without a ledger) hands results between threads.
 //!
 //! The ledger is pure telemetry: it is written with interior mutability
 //! from that thread only, never read back into any computed value, and
@@ -51,9 +51,10 @@ pub const PLANNING: usize = 2;
 
 /// One stage's latency decomposition for one frame.
 ///
-/// Built from four monotonic stamps (`t0` dispatch, `t1` compute start,
-/// `t2` compute end, `t3` absorbed) plus the blocked-wait measured at the
-/// absorbing `recv`; see the module docs for the telescoping identity.
+/// Built from four monotonic stamps (`t0` input handed over, `t1` compute
+/// start, `t2` compute end, `t3` taken by the next stage) plus the
+/// blocked wait measured at the taking `recv`; see the module docs for
+/// the telescoping identity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageSample {
     /// Frame index (camera frame for sensing/perception, control frame
@@ -61,21 +62,21 @@ pub struct StageSample {
     pub frame: u64,
     /// Stage index ([`SENSING`], [`PERCEPTION`] or [`PLANNING`]).
     pub stage: usize,
-    /// Directly measured dispatch→absorb span (`t3 − t0`), ns.
+    /// Directly measured hand-in → take span (`t3 − t0`), ns.
     pub span_ns: u64,
-    /// Ring-queue wait: job wait before compute plus result wait in the
-    /// done ring while the sequencer was busy elsewhere, ns.
+    /// Queue wait: input wait before compute plus the result's wait in
+    /// its channel while the taking stage was busy elsewhere, ns.
     pub queue_ns: u64,
     /// The stage's own compute time (`t2 − t1`), ns.
     pub compute_ns: u64,
-    /// Time the sequencer spent *blocked* waiting for this result on its
-    /// lane, ns.
+    /// Time the taking stage spent *blocked* waiting for this result
+    /// past its compute end, ns.
     pub stall_ns: u64,
 }
 
 impl StageSample {
-    /// Builds a sample from the four stamps plus the sequencer's blocked
-    /// wait at the absorbing site (`0` for non-blocking absorbs).
+    /// Builds a sample from the four stamps plus the taking stage's
+    /// blocked wait past `t2` (`0` when nothing waits).
     ///
     /// An inline execution passes `t0 == t1` and `t2 == t3` (no queues,
     /// no stall), which degenerates to `span == compute` exactly.
@@ -176,7 +177,7 @@ pub struct LedgerCounters {
 /// tail breakdown without touching the heap (the same discipline as every
 /// other per-frame buffer).
 ///
-/// Written only from the drive's or sequencer's thread (interior
+/// Written only from the drive's thread (interior
 /// mutability, not `Sync` — the owning [`crate::PerfContext`] already is
 /// not).
 #[derive(Debug, Default)]

@@ -5,12 +5,11 @@
 //! The paper's LiDAR case study shows that the real bottleneck of the
 //! perception stack is *within* a frame: irregular point-cloud kernels and
 //! image processing dominated by memory traffic and redundant data
-//! movement. Across frames, [`pipeline::StageNode`] is the one lane
-//! protocol: a sequencer runs each stage inline or on a pool lane behind
-//! the bounded SPSC rings of [`queue`], with one program for every
-//! placement. [`pipeline::FramePipeline`] uses it to overlap sensing →
-//! perception → planning over frame indices (the Fig. 5 replay, whose
-//! stages last milliseconds). The rest of this crate supplies the
+//! movement. Across frames, [`pipeline::FramePipeline`] overlaps sensing
+//! → perception → planning over frame indices (the Fig. 5 replay, whose
+//! stages last milliseconds): sensing and perception run on a scoped
+//! thread each, planning on the calling thread, with frames moving over
+//! `std::sync::mpsc` channels. The rest of this crate supplies the
 //! complementary layer — data parallelism *inside* each stage — plus the
 //! allocation discipline that makes a steady-state control tick free of
 //! heap traffic:
@@ -31,7 +30,7 @@
 //! `Sov::drive_with_plan`: the drive takes its buffers from the context's
 //! arena and runs every stage on the calling thread, timing each call
 //! with [`pipeline::run_inline`] into the context's [`ledger`]. A drive's
-//! simulated stages last microseconds, about the cost of one ring
+//! simulated stages last microseconds, about the cost of one channel
 //! hand-off, so a drive does not pipeline (DESIGN.md §9).
 
 #![deny(missing_docs)]
@@ -40,7 +39,6 @@ pub mod arena;
 pub mod ledger;
 pub mod pipeline;
 pub mod pool;
-pub mod queue;
 
 /// The performance context of a drive: the frame arena its buffers come
 /// from, the latency ledger its stage calls are timed into, and the tail

@@ -196,99 +196,6 @@ impl WorkerPool {
         );
     }
 
-    /// Runs each of `stages` on a dedicated spawned worker while the
-    /// calling thread runs `caller`, returning `caller`'s result after
-    /// every stage has finished.
-    ///
-    /// This is the stage-level counterpart of the chunked `parallel_*`
-    /// methods: instead of claiming many short chunks, each closure owns
-    /// one lane for its entire lifetime — the shape the inter-frame
-    /// pipeline (`crate::pipeline`) needs, where a stage is a loop over a
-    /// bounded ring queue (`crate::queue`). Stages must terminate once
-    /// their input rings close; the conventional shutdown is that `caller`
-    /// (or a peer stage) drops the ring senders on completion. A stage that
-    /// never returns blocks this call forever.
-    ///
-    /// Determinism: `run_lanes` assigns *whole stages*, never splits work,
-    /// so it cannot reorder anything by itself; ordering guarantees come
-    /// from the FIFO rings connecting the stages.
-    ///
-    /// If a stage panics, its closure unwinds on the worker — dropping any
-    /// ring endpoints it owned, which closes the rings and lets peer
-    /// stages drain and exit — and the panic is re-raised here after
-    /// `caller` returns. A panic in `caller` itself is re-raised once all
-    /// stages have finished.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pool has fewer spawned workers than `stages.len()`
-    /// (the calling thread does not count: it is busy running `caller`),
-    /// or re-raises a stage/caller panic as described above.
-    pub fn run_lanes<'env, R>(
-        &self,
-        stages: Vec<Box<dyn FnOnce() + Send + 'env>>,
-        caller: impl FnOnce() -> R,
-    ) -> R {
-        if stages.is_empty() {
-            return caller();
-        }
-        assert!(
-            self.threads.len() >= stages.len(),
-            "run_lanes needs a spawned worker per stage ({} spawned, {} stages)",
-            self.threads.len(),
-            stages.len()
-        );
-        let total = stages.len();
-        type Stage<'env> = Box<dyn FnOnce() + Send + 'env>;
-        struct LaneTask<'env> {
-            stages: Mutex<Vec<Option<Stage<'env>>>>,
-        }
-        impl Task for LaneTask<'_> {
-            fn run_chunk(&self, index: usize) {
-                let stage = self
-                    .stages
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)[index]
-                    .take();
-                if let Some(stage) = stage {
-                    stage();
-                }
-            }
-        }
-        let task = LaneTask {
-            stages: Mutex::new(stages.into_iter().map(Some).collect()),
-        };
-        let task_ref: &(dyn Task + '_) = &task;
-        // SAFETY (lifetime erasure): identical to `run_unit` — this call
-        // blocks on `unit.wait()` before returning, so the task (and every
-        // borrow its stage closures capture) outlives all worker use.
-        let task: *const (dyn Task + 'static) = unsafe { std::mem::transmute(task_ref) };
-        let unit = Arc::new(Unit {
-            task,
-            next: AtomicUsize::new(0),
-            total,
-            finished: AtomicUsize::new(0),
-            panicked: AtomicBool::new(false),
-            done: (Mutex::new(false), Condvar::new()),
-        });
-        let sender = self.sender.as_ref().expect("pool is alive");
-        for _ in 0..total {
-            sender.send(Arc::clone(&unit)).expect("workers are alive");
-        }
-        let result = catch_unwind(AssertUnwindSafe(caller));
-        unit.wait();
-        match result {
-            Ok(value) => {
-                assert!(
-                    !unit.panicked.load(Ordering::Acquire),
-                    "a pipeline stage panicked"
-                );
-                value
-            }
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
-    }
-
     /// Runs `f` over fixed-size chunks of `items` in parallel, in place.
     ///
     /// `f(start, chunk)` receives the chunk's starting index in `items`
@@ -676,79 +583,6 @@ mod tests {
         let ser = map_indexed(None, &items, 64, |i, v| v * i as f64);
         let par = map_indexed(Some(&pool), &items, 64, |i, v| v * i as f64);
         assert_eq!(ser, par);
-    }
-
-    #[test]
-    fn run_lanes_runs_every_stage_and_returns_caller_result() {
-        let pool = WorkerPool::new(3);
-        let a = AtomicUsize::new(0);
-        let b = AtomicUsize::new(0);
-        let result = pool.run_lanes(
-            vec![
-                Box::new(|| {
-                    a.store(11, Ordering::SeqCst);
-                }),
-                Box::new(|| {
-                    b.store(22, Ordering::SeqCst);
-                }),
-            ],
-            || 33usize,
-        );
-        assert_eq!(result, 33);
-        assert_eq!(a.load(Ordering::SeqCst), 11, "stage 0 ran to completion");
-        assert_eq!(b.load(Ordering::SeqCst), 22, "stage 1 ran to completion");
-    }
-
-    #[test]
-    fn run_lanes_with_no_stages_is_just_the_caller() {
-        let pool = WorkerPool::new(1);
-        assert_eq!(pool.run_lanes(vec![], || 7), 7);
-    }
-
-    #[test]
-    #[should_panic(expected = "worker per stage")]
-    fn run_lanes_rejects_more_stages_than_workers() {
-        let pool = WorkerPool::new(2); // one spawned worker
-        pool.run_lanes(vec![Box::new(|| {}), Box::new(|| {})], || ());
-    }
-
-    #[test]
-    fn run_lanes_stage_panic_propagates_and_pool_survives() {
-        let pool = WorkerPool::new(2);
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.run_lanes(vec![Box::new(|| panic!("injected stage fault"))], || ());
-        }));
-        assert!(result.is_err(), "stage panic must surface to the caller");
-        let items: Vec<u32> = (0..10).collect();
-        let out = pool.parallel_map(&items, 4, |_, v| v + 1);
-        assert_eq!(out, (1..11).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn run_lanes_stages_overlap_with_caller() {
-        // A stage and the caller exchange values over a rendezvous the
-        // caller completes — only possible if they genuinely run
-        // concurrently.
-        use crate::queue::ring;
-        let pool = WorkerPool::new(3);
-        let (req_tx, req_rx) = ring::<u32>(1);
-        let (resp_tx, resp_rx) = ring::<u32>(1);
-        let echoed = pool.run_lanes(
-            vec![Box::new(move || {
-                while let Some(v) = req_rx.recv() {
-                    if resp_tx.send(v * 2).is_err() {
-                        break;
-                    }
-                }
-            })],
-            move || {
-                req_tx.send(21).unwrap();
-                let got = resp_rx.recv().unwrap();
-                drop(req_tx); // closes the stage's input → it exits
-                got
-            },
-        );
-        assert_eq!(echoed, 42);
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! A loom-style bounded-schedule model checker (offline stand-in).
 //!
 //! The workspace's house invariant — byte-identical reports for any
-//! worker/depth schedule — ultimately rests on a handful of small
-//! concurrency protocols in `sov-runtime`: the `SpscRing` mutex/condvar
-//! hand-off, the `WorkerPool` atomic chunk-claim/completion-barrier, and
-//! the pipeline's drain/done-ring sizing. Proptests exercise those
-//! protocols under whatever schedules the OS happens to produce; this
-//! module checks them under **every** schedule a bounded enumeration can
-//! reach.
+//! worker/depth schedule — ultimately rests on one small custom
+//! concurrency protocol in `sov-runtime`: the `WorkerPool` atomic
+//! chunk-claim/completion-barrier (the Fig. 5 replay uses only
+//! `std::sync::mpsc` channels). Proptests exercise such protocols under
+//! whatever schedules the OS happens to produce; this module checks them
+//! under **every** schedule a bounded enumeration can reach.
 //!
 //! The design mirrors `loom` at a coarser granularity:
 //!

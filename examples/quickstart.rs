@@ -8,7 +8,6 @@
 use sov::core::config::VehicleConfig;
 use sov::core::sov::Sov;
 use sov::runtime::pipeline::FramePipeline;
-use sov::runtime::pool::WorkerPool;
 use sov::world::scenario::Scenario;
 use std::time::Duration;
 
@@ -60,11 +59,9 @@ fn main() {
     // Task-level parallelism: pipelined stages sustain the 10 Hz
     // throughput even though the serial latency exceeds the period.
     println!("\ntask-level parallelism demo (FramePipeline, 40 frames through 8+8+1 ms stages):");
-    let pool = WorkerPool::new(3);
     let work = |ms| std::thread::sleep(Duration::from_millis(ms));
     for (depth, mode) in [(1, "serialized"), (2, "pipelined")] {
         let run = FramePipeline::new(depth).run(
-            Some(&pool),
             40,
             |k| {
                 work(8);

@@ -64,27 +64,27 @@ echo "== per planned frame; degraded samples under a fault window)     =="
 cargo test --offline -q -p sov-core --test ledger_attribution
 
 echo "== bounded-schedule model checking of the concurrency core    =="
-echo "== (SPSC ring protocol, pool chunk claiming, stage node;     =="
+echo "== (the pool's chunk claiming and completion barrier;         =="
 echo "== exhaustive interleavings + seeded-broken-variant checks)   =="
 cargo test --offline -q -p sov-runtime --test model_protocols
 
 if [ "$DEEP" -eq 1 ]; then
-  echo "== deep: queue/pool unit tests under Miri =="
+  echo "== deep: pool unit tests under Miri =="
   # `cargo miri --version` (not `command -v cargo-miri`): rustup installs
   # a proxy shim even when the component itself is absent.
   if cargo miri --version >/dev/null 2>&1; then
-    cargo miri test --offline -q -p sov-runtime queue:: pool::
+    cargo miri test --offline -q -p sov-runtime pool::
   elif cargo +nightly miri --version >/dev/null 2>&1; then
-    cargo +nightly miri test --offline -q -p sov-runtime queue:: pool::
+    cargo +nightly miri test --offline -q -p sov-runtime pool::
   else
     echo "skip: Miri not installed on this toolchain"
   fi
 
-  echo "== deep: queue/pool unit tests under ThreadSanitizer =="
+  echo "== deep: pool unit tests under ThreadSanitizer =="
   if rustc +nightly --version >/dev/null 2>&1 &&
     rustup component list --toolchain nightly 2>/dev/null | grep -q "^rust-src.*(installed)"; then
     RUSTFLAGS="-Z sanitizer=thread" cargo +nightly test --offline -q -Z build-std \
-      --target "$(rustc -vV | sed -n 's/host: //p')" -p sov-runtime queue:: pool::
+      --target "$(rustc -vV | sed -n 's/host: //p')" -p sov-runtime pool::
   else
     echo "skip: nightly rust-src (required for -Z sanitizer=thread) not installed"
   fi
@@ -110,10 +110,10 @@ if [ "$(printf '%s\n' "$committed" | wc -l)" -ne 1 ] || [ "$fresh" != "$committe
 fi
 echo "perf digest gate: every cell prints the committed ${committed#*: }"
 
-echo "== pipeline_matrix, full matrix (Fig. 5 replay cells + analytic =="
-echo "== model; exits non-zero on a checksum mismatch or a depth-3     =="
-echo "== replay speedup below 1.5x); then every replay checksum must   =="
-echo "== equal BENCH_pipeline.json                                     =="
+echo "== pipeline_matrix, full matrix (4 Fig. 5 replay cells, depths =="
+echo "== 1-4, + analytic model; exits non-zero on a checksum mismatch  =="
+echo "== or a depth-3 replay speedup below 1.5x); then every replay    =="
+echo "== checksum must equal BENCH_pipeline.json                       =="
 ./target/release/pipeline_matrix --json "$pipeline_json"
 checksums_in_order() { grep -o '"checksum": "[0-9a-f]*"' "$1"; }
 if [ "$(checksums_in_order BENCH_pipeline.json | wc -l)" -eq 0 ] ||
