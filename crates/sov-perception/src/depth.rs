@@ -617,6 +617,55 @@ mod tests {
         }
     }
 
+    /// The whole disparity plane the way the matcher made it before pools,
+    /// arenas and padded copies: [`get_loop_match`] support points on the
+    /// grid, linear interpolation along each row, then each column filled
+    /// downward from its last valid pixel. The oracle of
+    /// [`DenseStereoMatcher::compute_with`].
+    fn get_loop_plane(m: &DenseStereoMatcher, left: &GrayImage, right: &GrayImage) -> Vec<f32> {
+        let (w, h) = (left.width(), left.height());
+        let mut data = vec![f32::NAN; w * h];
+        let mut y = m.grid_step;
+        while y + m.grid_step < h {
+            let mut x = m.grid_step;
+            while x + m.grid_step < w {
+                if let Some(d) = get_loop_match(m, left, right, x as isize, y as isize) {
+                    data[y * w + x] = d;
+                }
+                x += m.grid_step;
+            }
+            y += m.grid_step;
+        }
+        for row in data.chunks_mut(w) {
+            let mut prev: Option<(usize, f32)> = None;
+            for i in 0..w {
+                if row[i].is_nan() {
+                    continue;
+                }
+                if let Some((pi, pv)) = prev {
+                    let span = (i - pi) as f32;
+                    for j in pi + 1..i {
+                        let t = (j - pi) as f32 / span;
+                        row[j] = pv + (row[i] - pv) * t;
+                    }
+                }
+                prev = Some((i, row[i]));
+            }
+        }
+        for x in 0..w {
+            let mut last_valid: Option<f32> = None;
+            for y in 0..h {
+                let v = &mut data[y * w + x];
+                match (v.is_nan(), last_valid) {
+                    (true, Some(lv)) => *v = lv,
+                    (true, None) => {}
+                    (false, _) => last_valid = Some(*v),
+                }
+            }
+        }
+        data
+    }
+
     /// [`DenseStereoMatcher::match_block`] at image pixel `(x, y)`, on the
     /// padded copies `compute_with` builds.
     fn padded_match(
@@ -694,6 +743,47 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn bitwise_oracle_disparity_plane_equals_the_get_loop_matcher(
+            seed in 0u64..5_000,
+            w in 8usize..73,
+            h in 8usize..49,
+            shift in 0.0f64..12.0,
+            block_radius in 0usize..4,
+            max_disparity in 0usize..33,
+            grid_step in 1usize..7,
+            lanes in 1usize..5,
+        ) {
+            let (left, right) = random_pair(seed, w, h, shift);
+            let matcher = DenseStereoMatcher {
+                block_radius,
+                max_disparity,
+                grid_step,
+                ..DenseStereoMatcher::default()
+            };
+            // NaN marks an invalid disparity, so compare bits.
+            let bits = |plane: &[f32]| -> Vec<u32> { plane.iter().map(|v| v.to_bits()).collect() };
+            let oracle = bits(&get_loop_plane(&matcher, &left, &right));
+            let first_diff = |got: &[u32]| got.iter().zip(&oracle).position(|(a, b)| a != b);
+            let serial = bits(&matcher.compute(&left, &right).data);
+            prop_assert!(
+                serial == oracle,
+                "{:?}, {}x{}, serial: first differing pixel {:?}",
+                matcher, w, h, first_diff(&serial)
+            );
+            let (pool, arena) = (WorkerPool::new(lanes), FrameArena::new());
+            let pooled = bits(&matcher.compute_with(&left, &right, Some(&pool), Some(&arena)).data);
+            prop_assert!(
+                pooled == oracle,
+                "{:?}, {}x{}, lanes {}: first differing pixel {:?}",
+                matcher, w, h, lanes, first_diff(&pooled)
+            );
         }
     }
 

@@ -1,25 +1,22 @@
-//! The stereo/VIO visual front-end as a pipeline stage (Fig. 5 sensing
-//! lane).
+//! The stereo/VIO visual front-end: the drive's sensing stage (Fig. 5).
 //!
-//! Historically the front-end work — per-feature stereo disparity, feature
-//! tracking against the previous frame, and the noisy ego-motion increment
-//! — ran inline in `Sov`'s event loop, which left the paper's three-deep
-//! TLP schedule (sensing ∥ perception ∥ planning) with an idle sensing
-//! lane. [`FrontEnd`] packages that work plus all of its mutable state
-//! (the [`VisualFrontEnd`] motion model with its RNG, and the previous
-//! frame's tracker templates) into one object a pipeline lane can own
-//! outright, behind the same bounded-FIFO argument as the detector:
+//! [`FrontEnd`] holds the front-end work — per-feature stereo disparity,
+//! feature tracking against the previous frame, and the noisy ego-motion
+//! increment — together with all of its mutable state: the
+//! [`VisualFrontEnd`] motion model with its RNG, and the previous frame's
+//! tracker templates.
 //!
-//! * the sequencer sends each camera frame (plus an immutable
-//!   [`EgoMotionRequest`] computed from sequencer-side state at dispatch),
-//! * the lane runs [`FrontEnd::process`] — the only place the front-end's
-//!   state mutates — and returns a `Copy` [`FrontEndOutput`],
-//! * frames traverse the FIFO in capture order, so the front-end's state
-//!   (and its RNG draw sequence) evolves exactly as it would inline.
+//! `Sov::drive_with_plan` calls [`FrontEnd::process`] on the calling
+//! thread at each camera event, timed as the sensing stage:
 //!
-//! Because `process` is the *same* function on the serial and pipelined
-//! schedules and its inputs arrive in the same order, every output — and
-//! therefore every `VioFilter` update — is bit-identical across schedules.
+//! * the drive loop builds an immutable [`EgoMotionRequest`] from its own
+//!   state for every frame after the first,
+//! * `process` — the only place the front-end's state mutates — returns a
+//!   `Copy` [`FrontEndOutput`], whose increment the loop feeds to
+//!   `VioFilter::visual_update`.
+//!
+//! Frames arrive in capture order, so the front-end's state, and with it
+//! its RNG draw sequence, is a pure function of the drive's inputs.
 
 use crate::depth::disparity_for_depth;
 use crate::tracking::FeatureTrackList;
@@ -28,10 +25,10 @@ use sov_math::Pose2;
 use sov_sensors::camera::CameraFrame;
 use sov_sim::time::SimTime;
 
-/// Everything the ego-motion increment needs from the sequencer, captured
-/// at dispatch time (it depends on sequencer-side state — the previous
+/// Everything the ego-motion increment needs from the drive loop, captured
+/// at the camera event: it depends on the loop's state — the previous
 /// camera pose, the synchronizer's timestamp assignment, the ECU's current
-/// yaw rate and any injected IMU bias — none of which the lane may touch).
+/// yaw rate and any injected IMU bias — none of which [`FrontEnd`] owns.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EgoMotionRequest {
     /// Ground-truth pose at the previous camera frame.
@@ -47,12 +44,12 @@ pub struct EgoMotionRequest {
     pub lateral_bias_m: f64,
 }
 
-/// The immutable product of one front-end frame, handed back across the
-/// FIFO. `Copy`, so it crosses the ring without touching the allocator.
+/// The immutable product of one front-end frame. `Copy`, so returning it
+/// allocates nothing.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrontEndOutput {
-    /// Ego-motion increment, when the sequencer requested one (every frame
-    /// after the first); fed to `VioFilter::visual_update` on commit.
+    /// Ego-motion increment, when the drive loop requested one (every
+    /// frame after the first); fed to `VioFilter::visual_update`.
     pub delta: Option<VisualDelta>,
     /// Landmark features in view this frame.
     pub features: u32,

@@ -37,7 +37,8 @@ cargo test --offline -q -p sov-perception --lib fused_nms
 
 echo "== perception kernel bitwise oracles (lane-block NCC vs per-candidate =="
 echo "== correlate; tracker vs a naive patch-NCC argmax; FAST masks vs the  =="
-echo "== per-pixel fast_score; SAD lane blocks vs the get() loop)           =="
+echo "== per-pixel fast_score; SAD lane blocks vs the get() loop; the whole =="
+echo "== disparity plane, serial and pooled, vs the get() loop matcher)     =="
 cargo test --offline -q -p sov-perception --lib bitwise_oracle
 
 echo "== LiDAR bitwise oracles (selection-built kd-tree vs the stable-sort =="
@@ -90,9 +91,10 @@ if [ "$DEEP" -eq 1 ]; then
   fi
 fi
 
-echo "== bench bins build + perf_matrix smoke (every cell's checksum must =="
-echo "== equal the committed BENCH_perf.json digest; the per-frame fold   =="
-echo "== does not depend on the frame count)                             =="
+echo "== bench bins build + perf_matrix smoke (8 cells, workers x layout, =="
+echo "== all on the shipped kernels: every cell's checksum must equal the =="
+echo "== committed BENCH_perf.json digest; the per-frame fold does not    =="
+echo "== depend on the frame count)                                       =="
 cargo build --offline --release -p sov-bench --bins
 perf_json="$(mktemp)"
 pipeline_json="$(mktemp)"
