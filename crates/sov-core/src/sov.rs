@@ -37,8 +37,7 @@ use sov_perception::fusion::{FixOutcome, FusionConfig, GpsVioFusion};
 use sov_perception::vio::{VioConfig, VioFilter};
 use sov_planning::mpc::MpcPlanner;
 use sov_planning::{Planner, PlanningInput, PlanningObstacle};
-use sov_runtime::ledger::{FrameSample, PERCEPTION, PLANNING, SENSING};
-use sov_runtime::pipeline::run_inline;
+use sov_runtime::pipeline::{run_inline, PERCEPTION, PLANNING, SENSING};
 use sov_runtime::PerfContext;
 use sov_sensors::camera::{Camera, Intrinsics, StereoRig};
 use sov_sensors::gps::{GnssQuality, GpsConfig, GpsReceiver};
@@ -52,6 +51,7 @@ use sov_vehicle::ecu::Ecu;
 use sov_world::obstacle::ObstacleClass;
 use sov_world::scenario::Scenario;
 use std::fmt;
+use std::time::Duration;
 
 /// How a drive ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -126,7 +126,7 @@ pub struct DriveReport {
     /// Planner→ECU command frames lost to CAN fault injection.
     pub can_frames_lost: u64,
     /// Camera frames deliberately shed by the deadline monitor's
-    /// escalation step ([`sov_runtime::ledger::TailPolicy::shed`]).
+    /// escalation step ([`PerfContext::shed`]).
     /// Simulated (deterministic per seed + policy), so it *is* part of
     /// report equality.
     pub frames_shed: u64,
@@ -134,10 +134,9 @@ pub struct DriveReport {
     /// SafeStop-reachability against ground truth; see
     /// [`crate::safety`]).
     pub safety: SafetyReport,
-    /// Wall-clock tail-latency breakdown from the drive's
-    /// [`LatencyLedger`](sov_runtime::ledger::LatencyLedger): the control
-    /// path's planner latency and each stage's compute per call, plus the
-    /// tail-policy counters. **Excluded from `PartialEq`.**
+    /// Each front-end, detector and planner call's wall-clock compute
+    /// time, and the deadline monitor's overrun count.
+    /// **Excluded from `PartialEq`.**
     pub tail: TailReport,
 }
 
@@ -202,9 +201,9 @@ pub struct Sov {
     latency: LatencyPipeline,
     synchronizer: Synchronizer,
     rng: SovRng,
-    /// Buffer reuse, stage timing and the tail policy. Defaults to a
-    /// fresh context; never affects any computed value except through
-    /// shedding (determinism invariant).
+    /// Buffer reuse and the shedding switch. Defaults to a fresh
+    /// context; never affects any computed value except through shedding
+    /// (determinism invariant).
     perf: PerfContext,
 }
 
@@ -235,9 +234,8 @@ impl Sov {
     }
 
     /// Installs the performance context: the frame arena the drive's
-    /// buffers come from, the ledger its stage calls are timed into, and
-    /// the tail policy. The drive runs on the calling thread with any
-    /// context; only [`TailPolicy::shed`](sov_runtime::ledger::TailPolicy)
+    /// buffers come from, and the shedding switch. The drive runs on the
+    /// calling thread with any context; only [`PerfContext::shed`]
     /// changes the report, by shedding camera frames on purpose.
     pub fn set_perf(&mut self, perf: PerfContext) {
         self.perf = perf;
@@ -276,8 +274,8 @@ impl Sov {
     ///
     /// The whole drive runs on the calling thread: the visual front-end
     /// and the detector at each camera event, the MPC planner at each
-    /// control tick. Each call is timed into the context's ledger, one
-    /// compute sample per call, which fills [`DriveReport::tail`].
+    /// control tick. Each call's compute time goes into
+    /// [`DriveReport::tail`], one sample per call.
     ///
     /// # Errors
     ///
@@ -362,12 +360,9 @@ fn drive_loop(
     };
     let health_cfg = HealthConfig::default();
     let mut health = HealthMonitor::new(health_cfg, SimTime::ZERO);
-    // Tail accounting + the deadline-driven tail policy. The monitor is
-    // fed only the *modeled* computing latency — deterministic per seed —
-    // so its verdicts (and any shed they trigger) never depend on timing.
-    let policy = perf.tail;
-    let led = &perf.ledger;
-    led.begin(&perf.arena);
+    // The deadline monitor is fed only the *modeled* computing latency —
+    // deterministic per seed — so its verdicts (and any shed they
+    // trigger) never depend on timing.
     let mut monitor = DeadlineMonitor::new(health_cfg.compute_deadline);
     // Ground-truth invariant checker.
     let mut safety = SafetyChecker::new(SafetyConfig {
@@ -500,7 +495,7 @@ fn drive_loop(
                 // camera clock itself keeps ticking.
                 queue.schedule(t + camera_period, Ev::Camera(k + 1));
             }
-            Ev::Camera(k) if policy.shed && monitor.shed_predicted() => {
+            Ev::Camera(k) if perf.shed && monitor.shed_predicted() => {
                 // Adaptive shedding (escalation): with the predicted
                 // latency far past the deadline, the lowest-priority
                 // pending work — the next speculative camera frame — is
@@ -510,7 +505,6 @@ fn drive_loop(
                 // Deterministic: the predicate depends only on the
                 // seeded latency model, never on wall-clock time.
                 report.frames_shed += 1;
-                led.note_shed();
                 health.camera_delivery(t, k);
                 queue.schedule(t + camera_period, Ev::Camera(k + 1));
             }
@@ -538,16 +532,15 @@ fn drive_loop(
                             + faults.magnitude(FaultKind::ImuBiasJump, t, k),
                     }
                 });
-                let (product, sample) =
-                    run_inline(SENSING, k, || frontend.process(&cam_frame, req.as_ref()));
-                led.record_stage(sample);
+                let (product, took) = run_inline(|| frontend.process(&cam_frame, req.as_ref()));
+                record_compute(&mut report.tail, SENSING, took);
                 if let Some(delta) = &product.delta {
                     vio.visual_update(delta);
                 }
-                let ((), sample) = run_inline(PERCEPTION, k, || {
+                let ((), took) = run_inline(|| {
                     detector.detect_into(&cam_frame, class_of, &mut detections);
                 });
-                led.record_stage(sample);
+                record_compute(&mut report.tail, PERCEPTION, took);
                 last_camera_pose = state.pose;
                 last_camera_t = t;
                 // Delivery carries the frame-sequence number so the
@@ -605,10 +598,10 @@ fn drive_loop(
                 }
                 report.computing.record(computing.as_millis_f64());
                 // The overrun predictor sees only the modeled stream, so
-                // the tail policy is deterministic per seed.
+                // its count and any shed are deterministic per seed.
                 monitor.observe(computing.as_millis_f64());
                 if monitor.overrun_predicted() {
-                    led.note_overrun();
+                    report.tail.overruns_predicted += 1;
                 }
 
                 // Degradation state machine: watchdogs + compute
@@ -629,7 +622,6 @@ fn drive_loop(
                     DegradationMode::ReactiveOnly => cruise.min(2.0),
                     DegradationMode::SafeStop => 0.0,
                 };
-                let degraded = mode != DegradationMode::Nominal;
 
                 // Localization estimate drives the lane-keeping inputs.
                 let est = fusion.position(&vio);
@@ -703,11 +695,8 @@ fn drive_loop(
                     left_lane_available: left_ok,
                     right_lane_available: right_ok,
                 };
-                let (plan, sample) = run_inline(PLANNING, frame, || planner.plan(&input));
-                led.record_stage(sample);
-                // The planner call *is* the control path: its span is the
-                // end-to-end compute Eq. 1 bounds.
-                led.record_frame(FrameSample::from_stage(&sample, degraded));
+                let (plan, took) = run_inline(|| planner.plan(&input));
+                record_compute(&mut report.tail, PLANNING, took);
                 obstacles = input.obstacles;
                 // The command reaches the ECU after computing + CAN —
                 // unless the CAN frame is lost, in which case the ECU
@@ -757,12 +746,10 @@ fn drive_loop(
             }
         }
     }
-    // Hand the drive's buffers back to the arena, collect the tail
-    // breakdown and recycle the ledger's buffers too (allocation-free
-    // across drives once warm).
+    // Hand the drive's buffers back to the arena (allocation-free across
+    // drives once warm).
     perf.arena.recycle(detections);
     perf.arena.recycle(obstacles);
-    report.tail = TailReport::collect(led, &perf.arena);
     report.energy_used_kwh = config.battery.capacity_kwh - battery.remaining_kwh();
     report.mode_transitions = health.transitions().len() as u64;
     report.deadline_misses = health.deadline_misses();
@@ -773,6 +760,11 @@ fn drive_loop(
         report.outcome = DriveOutcome::Stopped;
     }
     report
+}
+
+/// Records one stage call's compute time, in milliseconds.
+fn record_compute(tail: &mut TailReport, stage: usize, took: Duration) {
+    tail.stage_compute_ms[stage].record(took.as_nanos() as f64 / 1e6);
 }
 
 #[cfg(test)]

@@ -3,23 +3,22 @@
 //! The paper's Eq. 1 bounds *end-to-end* frame latency, but a bound is
 //! only as good as its tail: COLA (PAPERS.md) argues that L4 safety hangs
 //! on p99.9/max under contention, faults, and degradation, not on the
-//! median the kernel benches gate on. This module supplies the two pieces
-//! that sit on top of the [`LatencyLedger`](sov_runtime::ledger):
+//! median the kernel benches gate on. This module supplies the drive's
+//! two pieces:
 //!
 //! * [`DeadlineMonitor`] — an EWMA-based overrun predictor over the
 //!   *modeled* computing latency that `drive_loop` already draws
 //!   deterministically per seed. Because its inputs never include a
 //!   wall-clock reading, its verdicts — and the camera frames shedding
 //!   drops on them — are the same on every run of a seed.
-//! * [`TailReport`] — the per-drive tail breakdown surfaced through
-//!   `DriveReport`: the control path's planner latency and each stage's
-//!   compute time, summarized at p50/p99/p99.9/max. Observational only:
-//!   it is excluded from `DriveReport` equality so wall-clock jitter
+//! * [`TailReport`] — what `drive_loop` records into `DriveReport`: each
+//!   front-end, detector and planner call's compute time, per stage, and
+//!   the monitor's overrun count. The times are observational only: the
+//!   report is excluded from `DriveReport` equality so wall-clock jitter
 //!   cannot fail a determinism gate.
 
 use sov_math::stats::Summary;
-use sov_runtime::arena::FrameArena;
-use sov_runtime::ledger::{LatencyLedger, STAGES};
+use sov_runtime::pipeline::STAGES;
 use sov_sim::time::SimDuration;
 
 /// Predicts Eq. 1 overruns from the modeled computing-latency stream.
@@ -97,74 +96,29 @@ impl DeadlineMonitor {
     }
 }
 
-/// Per-drive tail-latency breakdown, collected from the
-/// [`LatencyLedger`] at drive end.
+/// Per-drive stage timings, recorded by `drive_loop` as it runs.
 ///
-/// All durations are milliseconds. `total_ms` summarizes the *control
-/// path* — the planner call of each planned frame; `stage_compute_ms`
-/// breaks compute out per stage (0 = sensing, 1 = perception,
-/// 2 = planning), where sensing/perception samples are per *camera*
-/// frame. A drive runs every stage on the calling thread, so no stage
-/// waits on a queue and every sample is compute.
+/// `stage_compute_ms` holds one sample per call, in milliseconds, per
+/// stage (indexed by `sov_runtime::pipeline::{SENSING, PERCEPTION,
+/// PLANNING}`): the front-end and detector once per processed camera
+/// frame, the planner once per control frame. A drive runs every stage on
+/// the calling thread, so no stage waits on a queue and every sample is
+/// compute.
 ///
-/// Excluded from `DriveReport` equality: these are wall-clock
+/// Excluded from `DriveReport` equality: the samples are wall-clock
 /// measurements and differ from run to run.
 #[derive(Debug, Clone, Default)]
 pub struct TailReport {
-    /// Control-path frames sampled (== planned frames).
-    pub frames: u64,
-    /// Control-path latency: the planner call of each planned frame.
-    pub total_ms: Summary,
-    /// Per-stage compute summaries (sensing, perception, planning).
+    /// Per-stage compute times (sensing, perception, planning).
     pub stage_compute_ms: [Summary; STAGES],
-    /// Control-path latency over frames planned in `Nominal` mode only.
-    pub nominal_total_ms: Summary,
-    /// Control-path latency over frames planned while degraded.
-    pub degraded_total_ms: Summary,
-    /// Camera frames shed by the escalation step.
-    pub sheds: u64,
-    /// Frames for which the monitor predicted an Eq. 1 overrun.
+    /// Control frames for which the monitor predicted an Eq. 1 overrun.
+    /// Deterministic per seed: the monitor sees only modeled latencies.
     pub overruns_predicted: u64,
-}
-
-impl TailReport {
-    /// Builds the report from `ledger`'s samples, then recycles the
-    /// ledger's buffers into `arena` (the drive is over).
-    #[must_use]
-    pub fn collect(ledger: &LatencyLedger, arena: &FrameArena) -> Self {
-        const MS: f64 = 1e6;
-        let mut out = ledger.with_samples(|stages, frames| {
-            let mut r = Self {
-                frames: frames.len() as u64,
-                ..Self::default()
-            };
-            for s in stages {
-                r.stage_compute_ms[s.stage].record(s.compute_ns as f64 / MS);
-            }
-            for f in frames {
-                let total = f.total_ns as f64 / MS;
-                r.total_ms.record(total);
-                if f.degraded {
-                    r.degraded_total_ms.record(total);
-                } else {
-                    r.nominal_total_ms.record(total);
-                }
-            }
-            r
-        });
-        let c = ledger.counters();
-        out.sheds = c.sheds;
-        out.overruns_predicted = c.overruns_predicted;
-        ledger.finish(arena);
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sov_runtime::ledger::{FrameSample, StageSample};
-    use std::time::Instant;
 
     fn monitor(deadline_ms: u64) -> DeadlineMonitor {
         DeadlineMonitor::new(SimDuration::from_millis(deadline_ms))
@@ -209,39 +163,5 @@ mod tests {
         let m = monitor(1);
         assert!(!m.overrun_predicted());
         assert!(!m.shed_predicted());
-    }
-
-    #[test]
-    fn collect_summarizes_and_recycles() {
-        let arena = FrameArena::new();
-        let ledger = LatencyLedger::default();
-        ledger.begin(&arena);
-        let base = Instant::now();
-        let [t0, t2] = [0u64, 40].map(|us| base + std::time::Duration::from_micros(us));
-        let plan = StageSample::from_stamps(2, 0, t0, t0, t2, t2, 0);
-        ledger.record_stage(plan);
-        let f = FrameSample::from_stage(&plan, false);
-        ledger.record_frame(f);
-        ledger.record_frame(FrameSample {
-            degraded: true,
-            frame: 1,
-            ..f
-        });
-        ledger.note_overrun();
-        let report = TailReport::collect(&ledger, &arena);
-        assert_eq!(report.frames, 2);
-        assert_eq!(report.total_ms.len(), 2);
-        assert_eq!(report.nominal_total_ms.len(), 1);
-        assert_eq!(report.degraded_total_ms.len(), 1);
-        assert_eq!(report.stage_compute_ms[2].len(), 1);
-        assert_eq!(report.stage_compute_ms[0].len(), 0);
-        assert_eq!(report.sheds, 0);
-        assert_eq!(report.overruns_predicted, 1);
-        assert!((report.total_ms.max() - 0.04).abs() < 1e-12);
-        assert!((report.stage_compute_ms[2].max() - 0.04).abs() < 1e-12);
-        // Buffers went back to the arena; a second collect sees nothing.
-        ledger.begin(&arena);
-        let empty = TailReport::collect(&ledger, &arena);
-        assert_eq!(empty.frames, 0);
     }
 }

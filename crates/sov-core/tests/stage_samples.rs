@@ -1,16 +1,16 @@
-//! Property tests for the latency ledger of a drive: one control-path
-//! sample per planned frame, one stage sample per front-end, detector and
-//! planner call, and the degraded tag on exactly the frames planned
-//! outside `Nominal` — over seeds, with and without fault injection.
+//! Property tests for a drive's stage samples: one compute sample per
+//! front-end, detector and planner call in `DriveReport::tail` — over
+//! seeds, with and without fault injection.
 //!
 //! A drive runs every stage on the calling thread, so these counts are
 //! what can differ from drive to drive; the compute/queue/stall identity
-//! of lane samples is checked where lanes run, in `sov-runtime`.
+//! of the Fig. 5 replay's samples is checked where its threads run, in
+//! `sov-runtime`.
 
 use sov_core::config::VehicleConfig;
 use sov_core::sov::{DriveReport, Sov};
 use sov_fault::{FaultKind, FaultPlan};
-use sov_runtime::ledger::{PERCEPTION, PLANNING, SENSING};
+use sov_runtime::pipeline::{PERCEPTION, PLANNING, SENSING};
 use sov_sim::time::{SimDuration, SimTime};
 use sov_testkit::prelude::*;
 use sov_world::scenario::Scenario;
@@ -36,28 +36,11 @@ fn processed_camera_frames(report: &DriveReport, faults: &FaultPlan) -> usize {
 }
 
 fn check_samples(report: &DriveReport, faults: &FaultPlan, label: &str) {
-    let tail = &report.tail;
-    let calls = |stage: usize| tail.stage_compute_ms[stage].len();
-    assert_eq!(
-        tail.frames, report.frames,
-        "{label}: every planned frame gets exactly one control-path sample"
-    );
-    assert_eq!(tail.total_ms.len(), report.frames as usize, "{label}");
+    let calls = |stage: usize| report.tail.stage_compute_ms[stage].len();
     assert_eq!(calls(PLANNING), report.frames as usize, "{label}: planner");
     let camera = processed_camera_frames(report, faults);
     assert_eq!(calls(SENSING), camera, "{label}: front-end");
     assert_eq!(calls(PERCEPTION), camera, "{label}: detector");
-    let degraded: u64 = report.mode_ticks[1..].iter().sum();
-    assert_eq!(
-        tail.degraded_total_ms.len() as u64,
-        degraded,
-        "{label}: degraded samples are the non-Nominal ticks"
-    );
-    assert_eq!(
-        tail.nominal_total_ms.len() as u64,
-        report.mode_ticks[0],
-        "{label}: nominal samples"
-    );
 }
 
 proptest! {
@@ -89,8 +72,8 @@ proptest! {
         let report = sov.drive_with_plan(&scenario, 120, &plan).unwrap();
         prop_assert!(report.frames > 0);
         prop_assert!(
-            !report.tail.degraded_total_ms.is_empty(),
-            "the fault window must produce degraded-frame samples"
+            report.mode_ticks[1..].iter().sum::<u64>() > 0,
+            "the fault window must produce degraded ticks"
         );
         let label = format!("seed {seed}, overrun {overrun_ms:.0} ms, stall {stall_s} s");
         check_samples(&report, &plan, &label);

@@ -22,7 +22,7 @@
 //!
 //! | rule | meaning |
 //! |------|---------|
-//! | `wall-clock` | no `Instant::now` / `SystemTime` outside the telemetry allowlist (latency ledger, pipeline stamping, testkit bench) |
+//! | `wall-clock` | no `Instant::now` / `SystemTime` outside the telemetry allowlist (stage timing in `sov_runtime::pipeline`, testkit bench) |
 //! | `map-iter` | no iteration over a `HashMap`/`HashSet` unless the result is sorted within the next few lines |
 //! | `unsafe-site` | `unsafe` only in audited files (`sov-runtime/src/pool.rs`) |
 //! | `unsafe-comment` | every `unsafe` is preceded by a `// SAFETY:` comment stating its invariant |
@@ -51,12 +51,12 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// Files allowed to read the wall clock, with the audited reason.
-/// These are the telemetry measurement points: the stage-stamp sites
-/// that feed the latency ledger, plus the bench harness.
+/// These are the telemetry measurement points: the stage timing sites of
+/// the drive and the Fig. 5 replay, plus the bench harness.
 const WALL_CLOCK_ALLOW: &[(&str, &str)] = &[
     (
         "crates/sov-runtime/src/pipeline.rs",
-        "`run_inline`'s drive-stage samples, and the Fig. 5 replay's stage stamps, wall time and frame latencies",
+        "`run_inline`'s drive-stage compute times, and the Fig. 5 replay's stage stamps, wall time and frame latencies",
     ),
     (
         "crates/sov-testkit/src/bench.rs",

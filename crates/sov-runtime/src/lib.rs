@@ -29,43 +29,30 @@
 //! both). `sov-core` threads a [`PerfContext`] through
 //! `Sov::drive_with_plan`: the drive takes its buffers from the context's
 //! arena and runs every stage on the calling thread, timing each call
-//! with [`pipeline::run_inline`] into the context's [`ledger`]. A drive's
-//! simulated stages last microseconds, about the cost of one channel
-//! hand-off, so a drive does not pipeline (DESIGN.md §9).
+//! with [`pipeline::run_inline`]. A drive's simulated stages last
+//! microseconds, about the cost of one channel hand-off, so a drive does
+//! not pipeline (DESIGN.md §9).
 
 #![deny(missing_docs)]
 
 pub mod arena;
-pub mod ledger;
 pub mod pipeline;
 pub mod pool;
 
 /// The performance context of a drive: the frame arena its buffers come
-/// from, the latency ledger its stage calls are timed into, and the tail
-/// policy. A drive runs on the calling thread whatever the context, and
-/// no field ever changes a computed value except [`TailPolicy::shed`],
-/// which sheds camera frames on purpose.
-///
-/// [`TailPolicy::shed`]: ledger::TailPolicy::shed
+/// from, and whether the drive sheds camera frames. A drive runs on the
+/// calling thread whatever the context, and no field ever changes a
+/// computed value except [`shed`](Self::shed), which drops camera frames
+/// on purpose.
 #[derive(Debug, Default)]
 pub struct PerfContext {
     /// Reusable per-frame scratch buffers.
     pub arena: arena::FrameArena,
-    /// Tail-latency telemetry of the most recent drive: one compute sample
-    /// per front-end, detector and planner call, recorded allocation-free
-    /// into the arena (see [`ledger::LatencyLedger`]). Write-only — never
-    /// read back into any computed value.
-    pub ledger: ledger::LatencyLedger,
-    /// Deadline-driven tail policy (adaptive shedding); off by default.
-    pub tail: ledger::TailPolicy,
-}
-
-impl PerfContext {
-    /// Returns `self` with the given tail policy installed (builder
-    /// form, for ablation cells).
-    #[must_use]
-    pub fn with_tail_policy(mut self, tail: ledger::TailPolicy) -> Self {
-        self.tail = tail;
-        self
-    }
+    /// Adaptive shedding, off by default: when the deadline monitor
+    /// predicts a *severe* overrun, the lowest-priority pending stage
+    /// (the speculative camera frame) is dropped for that slot.
+    /// Deterministic (driven only by modeled latencies) but
+    /// **output-changing**: a shed drive differs from the nominal drive of
+    /// the same seed.
+    pub shed: bool,
 }

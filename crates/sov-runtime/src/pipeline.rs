@@ -22,7 +22,26 @@
 //! calling thread instead: their simulated calls last microseconds, about
 //! the cost of one channel hand-off, so threads never paid there
 //! (DESIGN.md §9). It times each call with [`run_inline`], so this module
-//! stays the one place that reads the clock for stage samples.
+//! stays the one place that reads the clock for stage timings.
+//!
+//! # Stage samples
+//!
+//! Each frame of a replay yields one [`StageSample`] per stage, an exact
+//! telescoping decomposition of the stage's measured span (the COLA
+//! split, PAPERS.md):
+//!
+//! ```text
+//! span = (t1 − t0)   queue-in:  input handed over → compute starts
+//!      + (t2 − t1)   compute:   the stage's own work
+//!      + (t3 − t2)   done-wait: result ready → the next stage takes it
+//! ```
+//!
+//! with the done-wait further split into **stall** (the portion the
+//! taking stage spent *blocked* waiting for this result, measured against
+//! a pre-`recv` stamp) and queue-out (the result sat in its channel while
+//! the taker did other work). All four stamps come from one monotonic
+//! clock, so the components sum to the measured span exactly;
+//! [`StageSample::residual_ns`] is the audit of that identity.
 //!
 //! # Determinism
 //!
@@ -31,10 +50,85 @@
 //! every depth, and outputs are **byte-identical** to the serial schedule.
 //! The tests in this module assert exactly that.
 
-use crate::ledger::{StageSample, PERCEPTION, PLANNING, SENSING};
 use std::sync::mpsc::{channel, Receiver};
 use std::thread;
 use std::time::{Duration, Instant};
+
+/// Number of pipeline stages, indexed by [`SENSING`], [`PERCEPTION`] and
+/// [`PLANNING`].
+pub const STAGES: usize = 3;
+/// Stage index of sensing (the visual front-end in a drive).
+pub const SENSING: usize = 0;
+/// Stage index of perception (the detector in a drive).
+pub const PERCEPTION: usize = 1;
+/// Stage index of planning (MPC in a drive).
+pub const PLANNING: usize = 2;
+
+/// One stage's latency decomposition for one replay frame.
+///
+/// Built from four monotonic stamps (`t0` input handed over, `t1` compute
+/// start, `t2` compute end, `t3` taken by the next stage) plus the
+/// blocked wait measured at the taking `recv`; see the module docs for
+/// the telescoping identity.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StageSample {
+    /// Frame index.
+    pub frame: u64,
+    /// Stage index ([`SENSING`], [`PERCEPTION`] or [`PLANNING`]).
+    pub stage: usize,
+    /// Directly measured hand-in → take span (`t3 − t0`), ns.
+    pub span_ns: u64,
+    /// Queue wait: input wait before compute plus the result's wait in
+    /// its channel while the taking stage was busy elsewhere, ns.
+    pub queue_ns: u64,
+    /// The stage's own compute time (`t2 − t1`), ns.
+    pub compute_ns: u64,
+    /// Time the taking stage spent *blocked* waiting for this result
+    /// past its compute end, ns.
+    pub stall_ns: u64,
+}
+
+impl StageSample {
+    /// Builds a sample from the four stamps plus the taking stage's
+    /// blocked wait past `t2` (`0` when nothing waits).
+    ///
+    /// A stage that starts at hand-over and is taken at once passes
+    /// `t0 == t1` and `t2 == t3` (no queues, no stall), which degenerates
+    /// to `span == compute` exactly.
+    #[must_use]
+    pub fn from_stamps(
+        stage: usize,
+        frame: u64,
+        t0: Instant,
+        t1: Instant,
+        t2: Instant,
+        t3: Instant,
+        stall_ns: u64,
+    ) -> Self {
+        let span_ns = t3.saturating_duration_since(t0).as_nanos() as u64;
+        let queue_in = t1.saturating_duration_since(t0).as_nanos() as u64;
+        let compute_ns = t2.saturating_duration_since(t1).as_nanos() as u64;
+        let done_wait = t3.saturating_duration_since(t2).as_nanos() as u64;
+        // The stall cannot exceed the done-wait it is a part of.
+        let stall_ns = stall_ns.min(done_wait);
+        Self {
+            frame,
+            stage,
+            span_ns,
+            queue_ns: queue_in + (done_wait - stall_ns),
+            compute_ns,
+            stall_ns,
+        }
+    }
+
+    /// Absolute difference between the measured span and the sum of its
+    /// attributed components — zero when the decomposition is exact.
+    #[must_use]
+    pub fn residual_ns(&self) -> u64 {
+        let sum = self.queue_ns + self.compute_ns + self.stall_ns;
+        self.span_ns.abs_diff(sum)
+    }
+}
 
 /// Telemetry from one [`FramePipeline::run`].
 #[derive(Debug)]
@@ -252,19 +346,13 @@ fn take<T>(results: &Receiver<(T, Instant)>) -> Option<(T, Instant, Instant, u64
     Some((out, ready, taken, stall_ns))
 }
 
-/// Runs one call of stage `stage_index` for `frame` on the calling thread
-/// and returns its output with its ledger sample — not yet recorded. The
-/// call is pure compute: `t0 == t1` and `t2 == t3`, no queue, no stall.
-pub fn run_inline<Out>(
-    stage_index: usize,
-    frame: u64,
-    stage: impl FnOnce() -> Out,
-) -> (Out, StageSample) {
+/// Runs one stage call on the calling thread and returns its output with
+/// the call's compute time. An inline call neither queues nor stalls, so
+/// its time is all compute.
+pub fn run_inline<Out>(stage: impl FnOnce() -> Out) -> (Out, Duration) {
     let t0 = Instant::now();
     let out = stage();
-    let t2 = Instant::now();
-    let sample = StageSample::from_stamps(stage_index, frame, t0, t0, t2, t2, 0);
-    (out, sample)
+    (out, t0.elapsed())
 }
 
 #[cfg(test)]
@@ -273,6 +361,40 @@ mod tests {
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::mpsc;
+
+    fn stamps(offsets_us: [u64; 4]) -> [Instant; 4] {
+        let base = Instant::now();
+        offsets_us.map(|us| base + Duration::from_micros(us))
+    }
+
+    #[test]
+    fn stage_sample_decomposition_is_exact() {
+        let [t0, t1, t2, t3] = stamps([0, 100, 350, 500]);
+        let s = StageSample::from_stamps(1, 7, t0, t1, t2, t3, 60_000);
+        assert_eq!(s.compute_ns, 250_000);
+        assert_eq!(s.stall_ns, 60_000);
+        assert_eq!(s.queue_ns, 100_000 + 90_000);
+        assert_eq!(s.span_ns, 500_000);
+        assert_eq!(s.residual_ns(), 0, "telescoping identity");
+    }
+
+    #[test]
+    fn stall_is_clamped_to_the_done_wait() {
+        let [t0, t1, t2, t3] = stamps([0, 10, 20, 30]);
+        let s = StageSample::from_stamps(0, 0, t0, t1, t2, t3, u64::MAX);
+        assert_eq!(s.stall_ns, 10_000);
+        assert_eq!(s.residual_ns(), 0);
+    }
+
+    #[test]
+    fn inline_sample_is_pure_compute() {
+        let [t0, _, t2, _] = stamps([0, 0, 420, 0]);
+        let s = StageSample::from_stamps(2, 3, t0, t0, t2, t2, 0);
+        assert_eq!(s.compute_ns, s.span_ns);
+        assert_eq!(s.queue_ns, 0);
+        assert_eq!(s.stall_ns, 0);
+        assert_eq!(s.residual_ns(), 0);
+    }
 
     /// Deterministic workload exercising all three stages: `sense` fills a
     /// buffer from `k`, `perceive` folds it, and `plan` mixes in its

@@ -307,7 +307,11 @@ pub mod prop {
 ///
 /// Supports the subset used in this workspace: an optional leading
 /// `#![proptest_config(ProptestConfig::with_cases(N))]`, then `#[test]`
-/// functions whose arguments are `name in strategy` pairs.
+/// functions whose arguments are `name in strategy` pairs. A failing case
+/// panics with `<test>: case i of n: <original message>`, counting cases
+/// from 1; the original message is kept verbatim, so
+/// `#[should_panic(expected = ...)]` still matches it. Each body runs in a
+/// closure, so it must not `return`.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -332,12 +336,28 @@ macro_rules! __proptest_body {
         fn $name() {
             let cases: usize = $cases;
             let mut rng = $crate::test_rng(stringify!($name));
-            for _case in 0..cases {
+            for case in 1..=cases {
                 $(let $arg = $crate::Strategy::sample(&($strat), &mut rng);)*
-                $body
+                let run = ::std::panic::catch_unwind(::std::panic::AssertUnwindSafe(|| $body));
+                if let Err(panic) = run {
+                    $crate::__fail_case(stringify!($name), case, cases, panic.as_ref());
+                }
             }
         }
     )*};
+}
+
+/// Implementation detail of [`proptest!`]: re-raises a failed case's panic
+/// with the test name and the case's position in front of its message.
+#[doc(hidden)]
+#[track_caller]
+pub fn __fail_case(name: &str, case: usize, cases: usize, panic: &(dyn std::any::Any + Send)) -> ! {
+    let message = panic
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("(the panic carried no message)");
+    panic!("{name}: case {case} of {cases}: {message}")
 }
 
 /// Asserts a property holds (shim of `prop_assert!`; panics on failure).
@@ -368,6 +388,10 @@ pub mod model;
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// Cases `a_failing_case_is_named` has started.
+    static CASES_STARTED: AtomicUsize = AtomicUsize::new(0);
 
     #[test]
     fn same_name_same_samples() {
@@ -427,6 +451,17 @@ mod tests {
             prop_assert!(a < 100);
             prop_assert!((0.0..1.0).contains(&b));
             prop_assert_eq!(u8::from(c) <= 1, true, "bool converts to 0/1");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        #[test]
+        #[should_panic(expected = "a_failing_case_is_named: case 3 of 8: boom in case 3")]
+        fn a_failing_case_is_named(_b in any::<bool>()) {
+            let case = CASES_STARTED.fetch_add(1, Ordering::Relaxed) + 1;
+            prop_assert!(case < 3, "boom in case {case}");
         }
     }
 }

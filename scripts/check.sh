@@ -8,6 +8,9 @@
 # `./scripts/check.sh --deep` additionally re-runs the concurrency-core
 # unit tests under Miri and ThreadSanitizer where the toolchain supports
 # them (each is skipped with a one-line note otherwise).
+#
+# Each stage prints its banner and, when the next one starts, its own
+# wall time; the last line carries the total.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -16,61 +19,77 @@ if [ "${1:-}" = "--deep" ]; then
   DEEP=1
 fi
 
-echo "== cargo fmt --check =="
+now_us() { echo "${EPOCHREALTIME/[.,]/}"; }
+# Seconds since the microsecond stamp $1, to one decimal.
+seconds_since() {
+  local us=$(($(now_us) - $1))
+  printf '%d.%d' $((us / 1000000)) $((us / 100000 % 10))
+}
+checks_started="$(now_us)"
+stage_started=""
+stage_name=""
+# `stage TITLE [LINE...]` closes the running stage, printing its title
+# and wall time, and opens the next one, printing TITLE and each LINE as
+# its banner; `stage` with no argument only closes.
+stage() {
+  if [ -n "$stage_started" ]; then
+    echo "-- ${stage_name}: $(seconds_since "$stage_started") s"
+  fi
+  stage_name="${1:-}"
+  stage_started="$(now_us)"
+  local line
+  for line in "$@"; do
+    echo "== $line =="
+  done
+}
+
+stage "cargo fmt --check"
 cargo fmt --all --check
 
-echo "== cargo clippy (-D warnings) =="
+stage "cargo clippy (-D warnings)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
-echo "== sov-lint determinism house rules (DESIGN.md 13) =="
+stage "sov-lint determinism house rules (DESIGN.md 13)"
 cargo run --offline --release -q -p sov-lint
 
-echo "== tier-1: build --release =="
+stage "tier-1: build --release"
 cargo build --offline --workspace --release
 
-echo "== tier-1: test =="
+# The workspace suite runs every oracle and proptest once, among them:
+# - sov-perception: `fused_nms_bit_identical_across_tile_seams` (fused
+#   score+NMS, tile-seam corners vs the serial score-plane oracle) and the
+#   `bitwise_oracle_*` tests: `correlate_run_equals_per_candidate_ncc`
+#   (lane-block NCC), `tracker_equals_naive_argmax` (patch-NCC argmax),
+#   `mask_scorer_equals_fast_score` and `row_scores_equal_fast_score_on_scenes`
+#   (FAST masks vs the per-pixel fast_score), `sad_blocks_equal_the_get_loop`
+#   and `disparity_plane_equals_the_get_loop_matcher` (the whole plane,
+#   serial and pooled);
+# - sov-lidar `bitwise_oracle_*`: `selection_build_equals_stable_sort`
+#   and `selection_build_handles_small_and_signed_zero_clouds` (serial and
+#   pooled), `grid_lists_equal_radius_search` and
+#   `grid_lists_on_degenerate_grids` (in order),
+#   `build_rejects_a_nan_coordinate`;
+# - sov-planning `speed_qp_matches_the_dense_oracle_bit_for_bit` (SpeedQp vs
+#   the dense QpProblem: x and objective bits, iterations, convergence and
+#   errors, zero rows and NaN bounds included);
+# - the sov-fault (fault-window overlap merge) and sov-world
+#   (scenario-generator regeneration) proptests;
+# - sov-core `safety_invariants` (nominal acceptance, sites + generated)
+#   and `stage_samples` (one compute sample per front-end, detector and
+#   planner call, nominal and faulted);
+# - sov-runtime `model_protocols` (bounded-schedule model checking of the
+#   pool's chunk claiming and completion barrier: exhaustive
+#   interleavings + seeded-broken-variant checks);
+# - the sov-fleet proptests (byte identity across workers × fleet sizes ×
+#   fault injection; allocation-free steady state), with
+#   `dispatch_equivalence_across_modes_workers_and_block_sizes` (indexed +
+#   sharded vs the serial linear scan across workers × fleet sizes ×
+#   block lengths × stall requeues).
+stage "tier-1: test"
 cargo test --offline --workspace -q
 
-echo "== fused score+NMS bit-identity proptest (tile-seam corners vs =="
-echo "== the serial score-plane oracle)                             =="
-cargo test --offline -q -p sov-perception --lib fused_nms
-
-echo "== perception kernel bitwise oracles (lane-block NCC vs per-candidate =="
-echo "== correlate; tracker vs a naive patch-NCC argmax; FAST masks vs the  =="
-echo "== per-pixel fast_score; SAD lane blocks vs the get() loop; the whole =="
-echo "== disparity plane, serial and pooled, vs the get() loop matcher)     =="
-cargo test --offline -q -p sov-perception --lib bitwise_oracle
-
-echo "== LiDAR bitwise oracles (selection-built kd-tree vs the stable-sort =="
-echo "== build, serial and pooled; grid neighbour lists vs radius_search, =="
-echo "== in order; a NaN coordinate panics)                               =="
-cargo test --offline -q -p sov-lidar bitwise_oracle
-
-echo "== speed-QP bitwise oracle proptest (SpeedQp vs the dense   =="
-echo "== QpProblem: x and objective bits, iterations, convergence =="
-echo "== and errors, zero rows and NaN bounds included)           =="
-cargo test --offline -q -p sov-planning --test proptests speed_qp_matches_the_dense_oracle
-
-echo "== fault-window overlap-merge proptests =="
-cargo test --offline -q -p sov-fault --test proptests
-
-echo "== scenario-generator regeneration proptests =="
-cargo test --offline -q -p sov-world --test proptests
-
-echo "== safety-invariant nominal acceptance (sites + generated) =="
-cargo test --offline -q -p sov-core --test safety_invariants
-
-echo "== latency-ledger sample proptests (one sample per stage call and =="
-echo "== per planned frame; degraded samples under a fault window)     =="
-cargo test --offline -q -p sov-core --test ledger_attribution
-
-echo "== bounded-schedule model checking of the concurrency core    =="
-echo "== (the pool's chunk claiming and completion barrier;         =="
-echo "== exhaustive interleavings + seeded-broken-variant checks)   =="
-cargo test --offline -q -p sov-runtime --test model_protocols
-
 if [ "$DEEP" -eq 1 ]; then
-  echo "== deep: pool unit tests under Miri =="
+  stage "deep: pool unit tests under Miri"
   # `cargo miri --version` (not `command -v cargo-miri`): rustup installs
   # a proxy shim even when the component itself is absent.
   if cargo miri --version >/dev/null 2>&1; then
@@ -81,7 +100,7 @@ if [ "$DEEP" -eq 1 ]; then
     echo "skip: Miri not installed on this toolchain"
   fi
 
-  echo "== deep: pool unit tests under ThreadSanitizer =="
+  stage "deep: pool unit tests under ThreadSanitizer"
   if rustc +nightly --version >/dev/null 2>&1 &&
     rustup component list --toolchain nightly 2>/dev/null | grep -q "^rust-src.*(installed)"; then
     RUSTFLAGS="-Z sanitizer=thread" cargo +nightly test --offline -q -Z build-std \
@@ -91,10 +110,10 @@ if [ "$DEEP" -eq 1 ]; then
   fi
 fi
 
-echo "== bench bins build + perf_matrix smoke (8 cells, workers x layout, =="
-echo "== all on the shipped kernels: every cell's checksum must equal the =="
-echo "== committed BENCH_perf.json digest; the per-frame fold does not    =="
-echo "== depend on the frame count)                                       =="
+stage "bench bins build + perf_matrix smoke" \
+  "(8 cells, workers x layout, all on the shipped kernels: every" \
+  "cell's checksum must equal the committed BENCH_perf.json digest;" \
+  "the per-frame fold does not depend on the frame count)"
 cargo build --offline --release -p sov-bench --bins
 perf_json="$(mktemp)"
 pipeline_json="$(mktemp)"
@@ -112,10 +131,10 @@ if [ "$(printf '%s\n' "$committed" | wc -l)" -ne 1 ] || [ "$fresh" != "$committe
 fi
 echo "perf digest gate: every cell prints the committed ${committed#*: }"
 
-echo "== pipeline_matrix, full matrix (4 Fig. 5 replay cells, depths =="
-echo "== 1-4, + analytic model; exits non-zero on a checksum mismatch  =="
-echo "== or a depth-3 replay speedup below 1.5x); then every replay    =="
-echo "== checksum must equal BENCH_pipeline.json                       =="
+stage "pipeline_matrix, full matrix" \
+  "(4 Fig. 5 replay cells, depths 1-4, + analytic model; exits" \
+  "non-zero on a checksum mismatch or a depth-3 replay speedup below" \
+  "1.5x); then every replay checksum must equal BENCH_pipeline.json"
 ./target/release/pipeline_matrix --json "$pipeline_json"
 checksums_in_order() { grep -o '"checksum": "[0-9a-f]*"' "$1"; }
 if [ "$(checksums_in_order BENCH_pipeline.json | wc -l)" -eq 0 ] ||
@@ -125,8 +144,9 @@ if [ "$(checksums_in_order BENCH_pipeline.json | wc -l)" -eq 0 ] ||
 fi
 echo "pipeline digest gate: $(checksums_in_order "$pipeline_json" | wc -l) checksums equal BENCH_pipeline.json"
 
-echo "== fault_matrix (22 fault runs; its JSON has no wall-clock field, =="
-echo "== so it must be byte-identical to BENCH_fault.json)              =="
+stage "fault_matrix" \
+  "(22 fault runs; its JSON has no wall-clock field, so it must be" \
+  "byte-identical to BENCH_fault.json)"
 ./target/release/fault_matrix --json "$fault_json"
 if ! cmp "$fault_json" BENCH_fault.json; then
   echo "fault digest gate: fresh output differs from BENCH_fault.json"
@@ -134,12 +154,14 @@ if ! cmp "$fault_json" BENCH_fault.json; then
 fi
 echo "fault digest gate: output equals BENCH_fault.json byte for byte"
 
-echo "== scenario_matrix smoke (generated scenarios × faults, safety =="
-echo "== invariants per frame; proves worker-lane JSON invariance)   =="
+stage "scenario_matrix smoke" \
+  "(generated scenarios × faults, safety invariants per frame;" \
+  "proves worker-lane JSON invariance)"
 ./target/release/scenario_matrix --smoke --workers 3
 
-echo "== scenario_matrix, full matrix (its JSON has no wall-clock field, =="
-echo "== so it must be byte-identical to BENCH_scenarios.json)          =="
+stage "scenario_matrix, full matrix" \
+  "(its JSON has no wall-clock field, so it must be byte-identical" \
+  "to BENCH_scenarios.json)"
 ./target/release/scenario_matrix --json "$scenario_json"
 if ! cmp "$scenario_json" BENCH_scenarios.json; then
   echo "scenario digest gate: fresh output differs from BENCH_scenarios.json"
@@ -147,20 +169,12 @@ if ! cmp "$scenario_json" BENCH_scenarios.json; then
 fi
 echo "scenario digest gate: output equals BENCH_scenarios.json byte for byte"
 
-echo "== fleet determinism proptests (byte-identity across workers × =="
-echo "== fleet sizes × fault injection; allocation-free steady state) =="
-cargo test --offline -q -p sov-fleet --test proptests
-
-echo "== fleet dispatch-equivalence proptest (indexed + sharded vs the =="
-echo "== serial linear scan across workers × fleet sizes × block      =="
-echo "== lengths × stall requeues)                                    =="
-cargo test --offline -q -p sov-fleet --test proptests dispatch_equivalence
-
-echo "== fleet_matrix smoke (ride serving with the spatial index on: one =="
-echo "== linear reference cell + the indexed worker sweep; exits non-    =="
-echo "== zero on any report diverging from the reference, work counters  =="
-echo "== that see the pool, or an eval reduction below 2x; then it must  =="
-echo "== print the smoke_checksum committed in BENCH_fleet.json)         =="
+stage "fleet_matrix smoke" \
+  "(ride serving with the spatial index on: one linear reference" \
+  "cell + the indexed worker sweep; exits non-zero on any report" \
+  "diverging from the reference, work counters that see the pool, or" \
+  "an eval reduction below 2x; then it must print the smoke_checksum" \
+  "committed in BENCH_fleet.json)"
 if [ "$(nproc 2>/dev/null || echo 0)" -lt 3 ]; then
   echo "warning: host has < 3 cores — fleet_matrix throughput gate is informational only"
 fi
@@ -179,14 +193,16 @@ fleet_smoke() {
 }
 fleet_smoke
 
-echo "== fleet_matrix smoke, index off (pure linear-scan sweep: the =="
-echo "== sharded advance must stay byte-identical without the index, =="
-echo "== and print the same committed checksum)                      =="
+stage "fleet_matrix smoke, index off" \
+  "(pure linear-scan sweep: the sharded advance must stay" \
+  "byte-identical without the index, and print the same committed" \
+  "checksum)"
 fleet_smoke --dispatch linear
 
-echo "== perfbench digest gate (each workload at seed 42, shortest run; =="
-echo "== its result line must read \"correct\": true, which needs the =="
-echo "== output checks and the perfbench/digests.json digest to match)  =="
+stage "perfbench digest gate" \
+  "(each workload at seed 42, shortest run; its result line must" \
+  "read \"correct\": true, which needs the output checks and the" \
+  "perfbench/digests.json digest to match)"
 for workload in drive-mix fleet-peak perception-frame; do
   result="$(python3 perfbench/run.py --workload "$workload" --seed 42 --seconds 0 --trace 0 | tail -n 1)"
   case "$result" in
@@ -198,4 +214,5 @@ for workload in drive-mix fleet-peak perception-frame; do
   esac
 done
 
-echo "All checks passed."
+stage
+echo "All checks passed. Total: $(seconds_since "$checks_started") s"

@@ -32,7 +32,7 @@
 //!   vehicle ticks sharded across the worker pool — reports
 //!   byte-identical for any dispatch mode and worker count.
 //! * [`runtime`] — the deterministic concurrency substrate: worker pool,
-//!   frame pipeline, arenas, and the latency ledger.
+//!   frame pipeline and its stage timing, and arenas.
 //!
 //! # Quickstart
 //!
