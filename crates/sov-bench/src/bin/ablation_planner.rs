@@ -8,7 +8,6 @@ use sov_planning::mpc::MpcConfig;
 use sov_sim::time::SimTime;
 use sov_world::obstacle::{Obstacle, ObstacleClass, ObstacleId};
 use sov_world::scenario::Scenario;
-use std::time::Instant;
 
 fn scenario_with_pedestrian(seed: u64) -> Scenario {
     let mut s = Scenario::fishers_indiana(seed);
@@ -40,11 +39,7 @@ fn evaluate(cfg: MpcConfig, seed: u64) -> (DriveOutcome, f64, u64, f64) {
         speed_along_mps: 0.0,
         radius_m: 0.5,
     });
-    let start = Instant::now();
-    for _ in 0..100 {
-        let _ = planner.plan(&input);
-    }
-    let plan_us = start.elapsed().as_secs_f64() * 1e4;
+    let plan_us = sov_bench::time_us(100, || planner.plan(&input));
     let report = sov.drive(&scenario, 250).expect("frames > 0");
     (
         report.outcome,
@@ -55,6 +50,7 @@ fn evaluate(cfg: MpcConfig, seed: u64) -> (DriveOutcome, f64, u64, f64) {
 }
 
 fn main() {
+    sov_bench::check_args(&[]);
     sov_bench::banner("Planner ablation", "MPC horizon / stop margin / smoothness");
     let seed = sov_bench::seed_from_args();
     println!(

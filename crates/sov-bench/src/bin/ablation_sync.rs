@@ -17,6 +17,7 @@ fn mean_offset_ms(strategy: SyncStrategy, config: SyncConfig, seed: u64) -> f64 
 }
 
 fn main() {
+    sov_bench::check_args(&[]);
     sov_bench::banner(
         "Sync ablation",
         "Synchronizer design parameters (Sec. VI-A)",

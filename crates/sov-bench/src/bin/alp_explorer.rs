@@ -18,6 +18,7 @@ fn describe(assignment: &std::collections::BTreeMap<DagNode, Site>) -> String {
 }
 
 fn main() {
+    sov_bench::check_args(&[]);
     sov_bench::banner("ALP explorer", "Cross-accelerator scheduling (Sec. VII)");
     let edge = EdgeConfig::default();
 

@@ -17,6 +17,7 @@ use sov_world::obstacle::ObstacleClass;
 use sov_world::scenario::Scenario;
 
 fn main() {
+    sov_bench::check_args(&[]);
     sov_bench::banner("Fig. 1", "The end-to-end infrastructure loop");
     let seed = sov_bench::seed_from_args();
 

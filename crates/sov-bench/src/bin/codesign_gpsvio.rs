@@ -51,6 +51,7 @@ fn drive(with_gps: bool, frames: u64, seed: u64) -> Vec<(f64, f64)> {
 }
 
 fn main() {
+    sov_bench::check_args(&[]);
     sov_bench::banner(
         "Co-design: GPS–VIO",
         "EKF fusion corrects cumulative VIO drift (Sec. VI-B)",

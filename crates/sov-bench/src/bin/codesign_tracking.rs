@@ -15,6 +15,7 @@ use sov_sim::time::SimTime;
 use sov_world::obstacle::{ObstacleClass, ObstacleId};
 
 fn main() {
+    sov_bench::check_args(&[]);
     sov_bench::banner(
         "Co-design: tracking",
         "Radar spatial sync replaces KCF (Sec. VI-B)",

@@ -5,6 +5,7 @@ use sov_core::sov::Sov;
 use sov_world::scenario::Scenario;
 
 fn main() {
+    sov_bench::check_args(&[]);
     sov_bench::banner("Deployment fleet", "All five sites (Sec. II-A)");
     let seed = sov_bench::seed_from_args();
     println!(

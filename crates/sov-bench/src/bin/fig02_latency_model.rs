@@ -6,6 +6,7 @@
 use sov_vehicle::dynamics::LatencyBudget;
 
 fn main() {
+    sov_bench::check_args(&[]);
     sov_bench::banner("Fig. 2 / Eq. 1", "End-to-end latency model");
     let b = LatencyBudget::perceptin_defaults();
     println!("parameters (paper, Sec. III-A):");

@@ -7,6 +7,7 @@
 use sov_vehicle::dynamics::LatencyBudget;
 
 fn main() {
+    sov_bench::check_args(&[]);
     sov_bench::banner(
         "Fig. 3a",
         "Computing latency requirement vs object distance",

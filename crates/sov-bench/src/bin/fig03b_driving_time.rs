@@ -8,6 +8,7 @@ use sov_platform::power::{ServerLoad, SovPowerModel};
 use sov_vehicle::battery::DrivingTimeModel;
 
 fn main() {
+    sov_bench::check_args(&[]);
     sov_bench::banner("Fig. 3b", "Driving time reduction vs P_AD (Eq. 2)");
     let m = DrivingTimeModel::perceptin_defaults();
     println!(

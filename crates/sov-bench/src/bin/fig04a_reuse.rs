@@ -31,6 +31,7 @@ fn histogram_for(scene_id: u64, seed: u64) -> (Vec<(f64, u64)>, f64, f64) {
 }
 
 fn main() {
+    sov_bench::check_args(&[]);
     sov_bench::banner("Fig. 4a", "Irregular data reuse in LiDAR localization");
     let seed = sov_bench::seed_from_args();
     for (label, scene) in [("Frame 0 (scene A)", 0u64), ("Frame 1 (scene B)", 4u64)] {

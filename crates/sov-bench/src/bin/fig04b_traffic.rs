@@ -14,15 +14,10 @@ use sov_math::SovRng;
 use sov_platform::cache::CacheSim;
 
 fn main() {
+    sov_bench::check_args(&["--points N"]);
     sov_bench::banner("Fig. 4b", "Normalized off-chip memory traffic (LLC model)");
     let seed = sov_bench::seed_from_args();
-    let args: Vec<String> = std::env::args().collect();
-    let points: usize = args
-        .iter()
-        .position(|a| a == "--points")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20_000);
+    let points: usize = sov_bench::flag_value("--points").unwrap_or(20_000);
     let mut rng = SovRng::seed_from_u64(seed);
     let cloud = PointCloud::synthetic_street_scene(points, 0, &mut rng);
     // Preserve the paper's regime (working set ≫ LLC): a real 130k-point

@@ -50,6 +50,7 @@ fn median_wait_ms(r: &PipelineRun) -> f64 {
 }
 
 fn main() {
+    sov_bench::check_args(&[]);
     sov_bench::banner(
         "Fig. 5 / Sec. IV",
         "Task-level parallelism in the software pipeline",

@@ -4,6 +4,7 @@
 use sov_platform::processor::{Platform, Task};
 
 fn main() {
+    sov_bench::check_args(&[]);
     sov_bench::banner("Fig. 6", "Perception tasks across platforms");
     sov_bench::section("(a) latency (ms, mean of the execution profile)");
     print!("{:<24}", "task");

@@ -8,6 +8,7 @@ fn name(p: Platform) -> &'static str {
 }
 
 fn main() {
+    sov_bench::check_args(&[]);
     sov_bench::banner("Fig. 8", "Perception mapping strategies");
     println!(
         "{:<28} | {:>10} | {:>10} | {:>12}",

@@ -7,6 +7,7 @@
 use sov_platform::rpr::{RprConfig, RprEngine, RprFootprint, RprPath};
 
 fn main() {
+    sov_bench::check_args(&[]);
     sov_bench::banner(
         "Fig. 9 / Sec. V-B3",
         "Runtime partial reconfiguration engine",

@@ -5,6 +5,7 @@ use sov_core::config::VehicleConfig;
 use sov_world::scenario::ComplexityProfile;
 
 fn main() {
+    sov_bench::check_args(&[]);
     sov_bench::banner(
         "Fig. 10a",
         "Computing latency distribution (sensing/perception/planning)",

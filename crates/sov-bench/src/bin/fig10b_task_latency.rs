@@ -5,6 +5,7 @@ use sov_core::config::VehicleConfig;
 use sov_world::scenario::ComplexityProfile;
 
 fn main() {
+    sov_bench::check_args(&[]);
     sov_bench::banner("Fig. 10b", "Average-case perception task latencies");
     let seed = sov_bench::seed_from_args();
     let config = VehicleConfig::perceptin_pod();

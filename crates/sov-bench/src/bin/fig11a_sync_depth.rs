@@ -11,6 +11,7 @@ use sov_sim::time::{SimDuration, SimTime};
 use sov_world::scenario::Scenario;
 
 fn main() {
+    sov_bench::check_args(&[]);
     sov_bench::banner("Fig. 11a", "Depth error vs stereo sync error");
     let seed = sov_bench::seed_from_args();
     let world = Scenario::nara_japan(seed).world;

@@ -31,6 +31,7 @@ fn course(duration_s: f64) -> (Vec<(SimTime, Pose2)>, Vec<f64>) {
 }
 
 fn main() {
+    sov_bench::check_args(&[]);
     sov_bench::banner("Fig. 11b", "Localization vs camera–IMU sync error");
     let seed = sov_bench::seed_from_args();
     let (poses, rates) = course(60.0);

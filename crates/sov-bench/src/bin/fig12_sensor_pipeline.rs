@@ -11,6 +11,7 @@ use sov_sensors::sync::{SyncConfig, SyncStrategy, Synchronizer, SynchronizerFoot
 use sov_sim::time::SimTime;
 
 fn main() {
+    sov_bench::check_args(&[]);
     sov_bench::banner("Fig. 12", "Sensor pipeline and synchronization designs");
     let seed = sov_bench::seed_from_args();
     let pipeline = SensorPipeline::camera_default();

@@ -12,6 +12,7 @@ use sov_sim::time::SimTime;
 use sov_world::scenario::Scenario;
 
 fn main() {
+    sov_bench::check_args(&[]);
     sov_bench::banner(
         "Localizer comparison",
         "VIO vs GPS–VIO vs map-based (Sec. II-B, VI-B)",

@@ -8,7 +8,6 @@ use sov_planning::em::{EmConfig, EmPlanner};
 use sov_planning::mpc::{MpcConfig, MpcPlanner};
 use sov_planning::{Planner, PlanningInput, PlanningObstacle};
 use sov_platform::processor::{Platform, Task};
-use std::time::Instant;
 
 fn scenarios() -> Vec<(&'static str, PlanningInput)> {
     vec![
@@ -41,15 +40,8 @@ fn scenarios() -> Vec<(&'static str, PlanningInput)> {
     ]
 }
 
-fn time_planner(planner: &mut dyn Planner, input: &PlanningInput, reps: u32) -> f64 {
-    let start = Instant::now();
-    for _ in 0..reps {
-        let _ = planner.plan(input);
-    }
-    start.elapsed().as_secs_f64() * 1e6 / f64::from(reps)
-}
-
 fn main() {
+    sov_bench::check_args(&[]);
     sov_bench::banner(
         "Planner comparison",
         "MPC (ours) vs EM-style DP+QP (Sec. V-C)",
@@ -63,8 +55,8 @@ fn main() {
     println!("{:-<26}-+-{:->14}-+-{:->14}-+-{:->8}", "", "", "", "");
     let mut ratios = Vec::new();
     for (name, input) in scenarios() {
-        let mpc_us = time_planner(&mut mpc, &input, 50);
-        let em_us = time_planner(&mut em, &input, 10);
+        let mpc_us = sov_bench::time_us(50, || mpc.plan(&input));
+        let em_us = sov_bench::time_us(10, || em.plan(&input));
         ratios.push(em_us / mpc_us);
         println!(
             "{name:<26} | {mpc_us:>14.0} | {em_us:>14.0} | {:>8}",

@@ -13,6 +13,7 @@ use sov_world::obstacle::{Obstacle, ObstacleClass, ObstacleId};
 use sov_world::scenario::Scenario;
 
 fn main() {
+    sov_bench::check_args(&[]);
     sov_bench::banner("Reactive path", "Proactive/reactive hybrid (Sec. IV)");
     let seed = sov_bench::seed_from_args();
     let budget = LatencyBudget::perceptin_defaults();

@@ -8,6 +8,7 @@ use sov_platform::timeshare::{analyze, AcceleratorTask};
 use std::time::Instant;
 
 fn main() {
+    sov_bench::check_args(&[]);
     sov_bench::banner(
         "RPR time-sharing",
         "Spatial vs temporal FPGA sharing (Sec. V-B3, VII)",

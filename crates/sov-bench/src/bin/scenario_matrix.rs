@@ -405,17 +405,12 @@ fn main() {
         .iter()
         .position(|a| a == "--json")
         .and_then(|i| args.get(i + 1).cloned());
-    let workers: usize = args
-        .iter()
-        .position(|a| a == "--workers")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-                .min(8)
-        });
+    let workers: usize = sov_bench::flag_value("--workers").unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+            .min(8)
+    });
     if let Some(i) = args.iter().position(|a| a == "--repro") {
         let parse = |j: usize| args.get(i + j).and_then(|s| s.parse::<u64>().ok());
         let (Some(s), Some(f), Some(fr)) = (parse(1), parse(2), parse(3)) else {

@@ -13,6 +13,7 @@ use sov_math::SovRng;
 use sov_sensors::sync::{CameraId, SyncConfig, SyncStrategy, Synchronizer};
 
 fn main() {
+    sov_bench::check_args(&[]);
     sov_bench::banner("Sync scaling", "Multi-camera synchronization (Sec. VI-A3)");
     let seed = sov_bench::seed_from_args();
     let mut rng = SovRng::seed_from_u64(seed);

@@ -3,6 +3,7 @@
 use sov_vehicle::battery::{table1_power_breakdown, table1_total_pad_w, LidarPower};
 
 fn main() {
+    sov_bench::check_args(&[]);
     sov_bench::banner("Table I", "Power breakdown");
     println!(
         "{:<50} | {:>10} | {:>8}",

@@ -4,6 +4,7 @@
 use sov_vehicle::cost::{TcoModel, VehicleBom};
 
 fn main() {
+    sov_bench::check_args(&[]);
     sov_bench::banner(
         "Table II",
         "Cost breakdown of our vehicle vs LiDAR-based vehicles",

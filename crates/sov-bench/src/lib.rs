@@ -1,9 +1,9 @@
 //! Experiment harness for the SoV reproduction.
 //!
 //! Each paper table/figure has a binary in `src/bin/` that regenerates its
-//! rows/series (see DESIGN.md §4 for the index); criterion benches in
-//! `benches/` measure the real Rust implementations. This library holds the
-//! shared report formatting, argument handling and report digests.
+//! rows/series (see DESIGN.md §4 for the index); `measured_tasks` times the
+//! real Rust implementations. This library holds the shared report
+//! formatting, argument handling, host timer and report digests.
 
 #![deny(missing_docs)]
 
@@ -110,15 +110,26 @@ pub fn section(name: &str) {
     println!("\n--- {name} ---");
 }
 
-/// Parses `--seed N` from the command line (default 42).
+/// Parses `--seed N` from the command line (default 42); see
+/// [`flag_value`].
 #[must_use]
 pub fn seed_from_args() -> u64 {
+    flag_value("--seed").unwrap_or(42)
+}
+
+/// The value after `flag` on the command line, or `None` without the
+/// flag. Exits with status 2, naming the flag, when the value does not
+/// parse as a `T`.
+#[must_use]
+pub fn flag_value<T: std::str::FromStr>(flag: &str) -> Option<T> {
     let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
+    let i = args.iter().position(|a| a == flag)?;
+    let value = args.get(i + 1).map_or("", String::as_str);
+    let Ok(parsed) = value.parse() else {
+        eprintln!("`{flag}` needs a number, not `{value}`");
+        std::process::exit(2);
+    };
+    Some(parsed)
 }
 
 /// The first argument in `args` that `flags` does not accept. A flag is
@@ -142,7 +153,8 @@ pub fn first_unknown_arg<'a>(args: &'a [String], flags: &[&str]) -> Option<&'a s
 
 /// Exits with status 2, listing the accepted flags on stderr, unless each
 /// command-line argument is one of `flags` (see [`first_unknown_arg`]) or
-/// `--seed N`.
+/// `--seed N`; also exits 2 when `N` is not a seed (see
+/// [`seed_from_args`]). Every bin calls it before its banner.
 pub fn check_args(flags: &[&str]) {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let flags: Vec<&str> = flags.iter().copied().chain(["--seed N"]).collect();
@@ -153,6 +165,19 @@ pub fn check_args(flags: &[&str]) {
         );
         std::process::exit(2);
     }
+    let _ = seed_from_args();
+}
+
+/// Mean wall-clock microseconds per call of `f` over `reps` timed calls,
+/// after one untimed warm-up call. Each result goes through
+/// [`std::hint::black_box`], so the optimizer cannot drop the work.
+pub fn time_us<R>(reps: u32, mut f: impl FnMut() -> R) -> f64 {
+    std::hint::black_box(f());
+    let start = std::time::Instant::now();
+    for _ in 0..reps {
+        std::hint::black_box(f());
+    }
+    start.elapsed().as_secs_f64() * 1e6 / f64::from(reps)
 }
 
 /// Formats a ratio as `N.N×`.
@@ -285,6 +310,14 @@ mod tests {
         assert_eq!(check("--json").as_deref(), Some("--json"), "missing value");
         assert_eq!(check("--repro 1 2").as_deref(), Some("--repro"));
         assert_eq!(check("--smoke stray").as_deref(), Some("stray"));
+    }
+
+    #[test]
+    fn time_us_warms_up_once_then_times_reps_calls() {
+        let mut calls = 0;
+        let us = super::time_us(3, || calls += 1);
+        assert_eq!(calls, 4);
+        assert!(us >= 0.0);
     }
 
     #[test]

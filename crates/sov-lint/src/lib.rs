@@ -22,7 +22,7 @@
 //!
 //! | rule | meaning |
 //! |------|---------|
-//! | `wall-clock` | no `Instant::now` / `SystemTime` outside the telemetry allowlist (stage timing in `sov_runtime::pipeline`, testkit bench) |
+//! | `wall-clock` | no `Instant::now` / `SystemTime` outside the telemetry allowlist (stage timing in `sov_runtime::pipeline`) |
 //! | `map-iter` | no iteration over a `HashMap`/`HashSet` unless the result is sorted within the next few lines |
 //! | `unsafe-site` | `unsafe` only in audited files (`sov-runtime/src/pool.rs`) |
 //! | `unsafe-comment` | every `unsafe` is preceded by a `// SAFETY:` comment stating its invariant |
@@ -50,19 +50,14 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-/// Files allowed to read the wall clock, with the audited reason.
-/// These are the telemetry measurement points: the stage timing sites of
-/// the drive and the Fig. 5 replay, plus the bench harness.
-const WALL_CLOCK_ALLOW: &[(&str, &str)] = &[
-    (
-        "crates/sov-runtime/src/pipeline.rs",
-        "`run_inline`'s drive-stage compute times, and the Fig. 5 replay's stage stamps, wall time and frame latencies",
-    ),
-    (
-        "crates/sov-testkit/src/bench.rs",
-        "the micro-bench harness times closures by definition",
-    ),
-];
+/// Files allowed to read the wall clock, with the audited reason: the
+/// one library telemetry module, which stamps the drive's stage calls and
+/// the Fig. 5 replay. Host timings of whole workloads live in the
+/// `sov-bench` bins, which `BENCH_CRATES` exempts.
+const WALL_CLOCK_ALLOW: &[(&str, &str)] = &[(
+    "crates/sov-runtime/src/pipeline.rs",
+    "`run_inline`'s drive-stage compute times, and the Fig. 5 replay's stage stamps, wall time and frame latencies",
+)];
 
 /// Files allowed to contain `unsafe`, with the audited reason. Every
 /// site inside them still needs its own `// SAFETY:` comment.
@@ -70,9 +65,6 @@ const UNSAFE_ALLOW: &[(&str, &str)] = &[(
     "crates/sov-runtime/src/pool.rs",
     "audited raw-pointer task dispatch (DESIGN.md §8/§13)",
 )];
-
-/// Files allowed to print: the bench harness's output *is* its report.
-const STDOUT_ALLOW: &[&str] = &["crates/sov-testkit/src/bench.rs"];
 
 /// Crates whose whole purpose is measurement and console output.
 const BENCH_CRATES: &[&str] = &["sov-bench"];
@@ -669,7 +661,6 @@ fn lint_file(rel: &str, source: &str, allowlists: bool) -> Vec<Diagnostic> {
     let names = map_names(&scan.lines);
     let wall_clock_allowed = allowlists && WALL_CLOCK_ALLOW.iter().any(|(f, _)| *f == scan.rel);
     let unsafe_allowed = allowlists && UNSAFE_ALLOW.iter().any(|(f, _)| *f == scan.rel);
-    let stdout_allowed = allowlists && STDOUT_ALLOW.contains(&scan.rel.as_str());
     let bench = scan.is_bench_crate();
 
     for (i, line) in scan.lines.iter().enumerate() {
@@ -694,7 +685,7 @@ fn lint_file(rel: &str, source: &str, allowlists: bool) -> Vec<Diagnostic> {
         }
 
         // stdout / env-read: library code stays silent and config-free.
-        if app_code && !bench && !stdout_allowed && !scan.suppressed(i, Rule::Stdout) {
+        if app_code && !bench && !scan.suppressed(i, Rule::Stdout) {
             for pat in ["println!", "print!", "eprintln!", "eprint!", "dbg!"] {
                 if !word_sites(code, pat).is_empty() {
                     push(
@@ -916,11 +907,6 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
             UNSAFE_ALLOW
                 .iter()
                 .map(|&(f, _)| (f, Rule::UnsafeSite, "UNSAFE_ALLOW")),
-        )
-        .chain(
-            STDOUT_ALLOW
-                .iter()
-                .map(|&f| (f, Rule::Stdout, "STDOUT_ALLOW")),
         );
     for (file, rule, list) in allowlists {
         let path = root.join(file);

@@ -8,8 +8,8 @@
 //! This module implements the workload pair for real pixels: a FAST-9
 //! corner detector with non-maximum suppression ([`fast_corners`]) as the
 //! keyframe extractor, and an NCC-based local patch search
-//! ([`track_features`]) as the non-keyframe tracker. The criterion bench
-//! `bench_perception` and `measured_tasks` time both on the host. Which
+//! ([`track_features`]) as the non-keyframe tracker. The `sov-bench`
+//! bin `measured_tasks` times both on the host. Which
 //! costs more there depends on the workload: `measured_tasks` (a 320×160
 //! keyframe, 60 radius-4 tracks) finds extraction 1.4–1.8× dearer on a
 //! 2-vCPU x86-64 host, near the paper's 2×, while perfbench's

@@ -12,7 +12,7 @@
 //!
 //! The EKF fusion step "executes in about 1 ms, much more lightweight than
 //! the VIO localization algorithm (24 ms)" — the latency comparison is
-//! reproduced by the platform model and the criterion benches.
+//! reproduced by the platform model and the `measured_tasks` timings.
 
 use crate::vio::VioFilter;
 use sov_math::matrix::{Matrix, Vector};

@@ -15,7 +15,7 @@
 //!
 //! It produces the same [`Plan`] type as the MPC planner so the two can be
 //! compared head-to-head on the same scenarios (the `planner_compare`
-//! experiment and criterion benches).
+//! and `measured_tasks` experiments).
 
 use crate::qp::SpeedQp;
 use crate::{LaneDecision, Plan, Planner, PlanningInput, TrajectoryPoint};

@@ -1,24 +1,19 @@
-//! Offline test & bench harness for the SoV workspace.
+//! Offline test harness for the SoV workspace.
 //!
 //! CI for this repository runs with **no network access**, so external
 //! crates cannot be fetched at dependency-resolution time. This crate is an
-//! in-tree, deterministic stand-in for the two dev-dependencies the seed
-//! workspace used:
-//!
-//! * a **property-testing shim** ([`proptest!`], [`Strategy`], [`prop`],
-//!   [`any`]) covering the subset of the `proptest` API our test suites
-//!   use, driven by the workspace's own seeded [`SovRng`] so every run is
-//!   reproducible, and
-//! * a **micro-bench shim** ([`bench`]) with a criterion-shaped API
-//!   (`Criterion`, `criterion_group!`, `criterion_main!`, benchmark
-//!   groups) that times closures with `std::time::Instant` and prints
-//!   mean ns/iter.
+//! in-tree, deterministic stand-in for the `proptest` dev-dependency: a
+//! **property-testing shim** ([`proptest!`], [`Strategy`], [`prop`],
+//! [`any`]) covering the subset of the `proptest` API our test suites use,
+//! driven by the workspace's own seeded [`SovRng`] so every run is
+//! reproducible. Host timings of the real implementations live in the
+//! `measured_tasks` bin of `sov-bench`, not here.
 //!
 //! It additionally hosts [`model`], a loom-style bounded-schedule model
 //! checker used to verify the `sov-runtime` concurrency protocols under
 //! exhaustively enumerated interleavings (DESIGN.md §13).
 //!
-//! Both are deliberately tiny: if the real `proptest`/`criterion` become
+//! The shim is deliberately tiny: if the real `proptest` becomes
 //! fetchable again, switching back is a one-line import change per file.
 
 #![deny(missing_docs)]
@@ -382,7 +377,6 @@ pub mod prelude {
     pub use crate::{prop_assert, prop_assert_eq, proptest};
 }
 
-pub mod bench;
 pub mod model;
 
 #[cfg(test)]

@@ -110,11 +110,14 @@ if [ "$DEEP" -eq 1 ]; then
   fi
 fi
 
-stage "bench bins build + perf_matrix smoke" \
-  "(8 cells, workers x layout, all on the shipped kernels: every" \
-  "cell's checksum must equal the committed BENCH_perf.json digest;" \
-  "the per-frame fold does not depend on the frame count)"
+stage "bench bins build + measured_tasks + perf_matrix smoke" \
+  "(measured_tasks times every real implementation once and must" \
+  "exit 0; then perf_matrix's 8 cells, workers x layout, all on the" \
+  "shipped kernels: every cell's checksum must equal the committed" \
+  "BENCH_perf.json digest; the per-frame fold does not depend on the" \
+  "frame count)"
 cargo build --offline --release -p sov-bench --bins
+./target/release/measured_tasks
 perf_json="$(mktemp)"
 pipeline_json="$(mktemp)"
 fault_json="$(mktemp)"
